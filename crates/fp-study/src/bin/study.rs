@@ -287,40 +287,9 @@ fn write_json(
 /// shortlist recall >= 0.98 and full brute-force audit agreement. The Rust
 /// replacement for the python heredocs the smoke gates used to need.
 fn check_scaling(telemetry: &Telemetry, path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            telemetry.event_with(
-                Level::Error,
-                "cannot read results file",
-                &[("path", path.to_string()), ("error", e.to_string())],
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let payload: serde_json::Value = match serde_json::from_str(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            telemetry.event_with(
-                Level::Error,
-                "results file is not valid JSON",
-                &[("path", path.to_string()), ("error", e.to_string())],
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = payload["reports"]
-        .as_array()
-        .into_iter()
-        .flatten()
-        .find(|r| r["id"] == "ext-scaling");
-    let Some(report) = report else {
-        telemetry.event_with(
-            Level::Error,
-            "no ext-scaling report in results file",
-            &[("path", path.to_string())],
-        );
-        return ExitCode::FAILURE;
+    let (_, report) = match load_report(telemetry, path, Some("ext-scaling")) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
     let Some(rows) = report["values"]["rows"]
         .as_array()
@@ -400,32 +369,9 @@ fn check_scaling(telemetry: &Telemetry, path: &str) -> ExitCode {
 /// sharded index, recall must equal the top unsharded rung exactly, and the
 /// `serve.*` transport counters must show real wire traffic.
 fn check_serve(telemetry: &Telemetry, path: &str) -> ExitCode {
-    let payload: serde_json::Value = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(e) => {
-            telemetry.event_with(
-                Level::Error,
-                "cannot load results file",
-                &[("path", path.to_string()), ("error", e)],
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = payload["reports"]
-        .as_array()
-        .into_iter()
-        .flatten()
-        .find(|r| r["id"] == "ext-scaling");
-    let Some(report) = report else {
-        telemetry.event_with(
-            Level::Error,
-            "no ext-scaling report in results file",
-            &[("path", path.to_string())],
-        );
-        return ExitCode::FAILURE;
+    let (payload, report) = match load_report(telemetry, path, Some("ext-scaling")) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
     let mut ok = true;
     if !report["values"]["remote_error"].is_null() {
@@ -507,32 +453,9 @@ fn check_serve(telemetry: &Telemetry, path: &str) -> ExitCode {
 /// request breaks it), and every latency rung must have answered every
 /// search with monotone percentiles.
 fn check_load(telemetry: &Telemetry, path: &str) -> ExitCode {
-    let payload: serde_json::Value = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(e) => {
-            telemetry.event_with(
-                Level::Error,
-                "cannot load results file",
-                &[("path", path.to_string()), ("error", e)],
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = payload["reports"]
-        .as_array()
-        .into_iter()
-        .flatten()
-        .find(|r| r["id"] == "ext-load");
-    let Some(report) = report else {
-        telemetry.event_with(
-            Level::Error,
-            "no ext-load report in results file",
-            &[("path", path.to_string())],
-        );
-        return ExitCode::FAILURE;
+    let (_, report) = match load_report(telemetry, path, Some("ext-load")) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
     let values = &report["values"];
     let mut ok = true;
@@ -646,36 +569,43 @@ fn check_load(telemetry: &Telemetry, path: &str) -> ExitCode {
     }
 }
 
-/// Loads a `--json` results file and extracts its ext-scaling report.
-fn load_scaling_report(telemetry: &Telemetry, path: &str) -> Result<serde_json::Value, ExitCode> {
-    let payload: serde_json::Value = match std::fs::read_to_string(path)
+/// Loads a `--json` results file: `(payload, report)`, where `report` is
+/// the one whose `id` is `id` (`Value::Null` when `id` is `None`). A read,
+/// parse or missing-report failure is logged and becomes the exit code.
+fn load_report(
+    telemetry: &Telemetry,
+    path: &str,
+    id: Option<&str>,
+) -> Result<(serde_json::Value, serde_json::Value), ExitCode> {
+    let payload: serde_json::Value = std::fs::read_to_string(path)
         .map_err(|e| e.to_string())
         .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(e) => {
+        .map_err(|e| {
             telemetry.event_with(
                 Level::Error,
                 "cannot load results file",
                 &[("path", path.to_string()), ("error", e)],
             );
-            return Err(ExitCode::FAILURE);
-        }
+            ExitCode::FAILURE
+        })?;
+    let Some(id) = id else {
+        return Ok((payload, serde_json::Value::Null));
     };
     let report = payload["reports"]
         .as_array()
         .into_iter()
         .flatten()
-        .find(|r| r["id"] == "ext-scaling")
-        .cloned();
-    report.ok_or_else(|| {
-        telemetry.event_with(
-            Level::Error,
-            "no ext-scaling report in results file",
-            &[("path", path.to_string())],
-        );
-        ExitCode::FAILURE
-    })
+        .find(|r| r["id"] == id)
+        .cloned()
+        .ok_or_else(|| {
+            telemetry.event_with(
+                Level::Error,
+                &format!("no {id} report in results file"),
+                &[("path", path.to_string())],
+            );
+            ExitCode::FAILURE
+        })?;
+    Ok((payload, report))
 }
 
 /// A well-formed run fingerprint: exactly 16 lowercase hex digits.
@@ -690,8 +620,8 @@ fn is_runfp_hex(s: &str) -> bool {
 /// chain value. The manifest is the O(1) artifact two runs compare to
 /// prove behavioral parity without diffing candidate lists.
 fn fingerprint_manifest(telemetry: &Telemetry, path: &str, json_out: Option<&str>) -> ExitCode {
-    let report = match load_scaling_report(telemetry, path) {
-        Ok(r) => r,
+    let (_, report) = match load_report(telemetry, path, Some("ext-scaling")) {
+        Ok(loaded) => loaded,
         Err(code) => return code,
     };
     let values = &report["values"];
@@ -765,8 +695,8 @@ fn fingerprint_manifest(telemetry: &Telemetry, path: &str, json_out: Option<&str
 /// chains (equal values across different workloads signal a pinned or
 /// forged constant).
 fn check_fingerprint(telemetry: &Telemetry, path: &str, deep: bool) -> ExitCode {
-    let report = match load_scaling_report(telemetry, path) {
-        Ok(r) => r,
+    let (_, report) = match load_report(telemetry, path, Some("ext-scaling")) {
+        Ok(loaded) => loaded,
         Err(code) => return code,
     };
     let values = &report["values"];
@@ -870,19 +800,9 @@ fn check_fingerprint(telemetry: &Telemetry, path: &str, deep: bool) -> ExitCode 
 /// spans and stage timings. The Rust replacement for CI's acceptance
 /// heredoc.
 fn check_telemetry(telemetry: &Telemetry, path: &str) -> ExitCode {
-    let payload: serde_json::Value = match std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| serde_json::from_str(&t).map_err(|e| e.to_string()))
-    {
-        Ok(v) => v,
-        Err(e) => {
-            telemetry.event_with(
-                Level::Error,
-                "cannot load results file",
-                &[("path", path.to_string()), ("error", e)],
-            );
-            return ExitCode::FAILURE;
-        }
+    let (payload, _) = match load_report(telemetry, path, None) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
     let snap = &payload["telemetry"];
     let counter = |key: &str| snap["counters"][key].as_u64().unwrap_or(0);

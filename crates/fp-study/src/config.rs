@@ -37,11 +37,13 @@ pub struct StudyConfig {
     /// ladder — the default, since the unsharded rungs already cover the
     /// accuracy story.
     pub shards: usize,
-    /// Number of `serve-shard` child processes the `ext-scaling` remote
-    /// rung spawns over loopback (cross-process sharding via `fp-serve`).
-    /// 0 disables the rung — the default; spawning children only makes
-    /// sense under the `study` binary (or an explicit
-    /// `FP_SERVE_SHARD_EXE`), not arbitrary library callers.
+    /// Number of `serve-shard` child processes spawned over loopback
+    /// (cross-process sharding via `fp-serve`): the remote rung of
+    /// `ext-scaling`, `check-kernel` and `check-store` (0, the default,
+    /// skips it), and the topology of `load` and `check-dist-trace`
+    /// (which always run one, 2 shards when 0). The children are copies of
+    /// the running executable, so only the `study` binary can serve them;
+    /// from any other executable the rung reports a spawn error.
     pub remote_shards: usize,
 }
 

@@ -19,18 +19,13 @@
 //! Any divergence fails the gate loudly with the first offending probe and
 //! entry.
 
-use std::time::Duration;
-
-use fp_core::rng::SeedTree;
-use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
+use fp_index::{IndexConfig, ShardedIndex};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy};
+use fp_telemetry::Telemetry;
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::topology::{enroll, replay, Baseline, Cohort, Topology};
 use crate::report::Report;
 
 /// Probes checked (each one scores the whole gallery twice, once per
@@ -53,37 +48,19 @@ struct KernelStats {
 
 /// Runs the gate: `Ok` with the stats, or the first divergence found.
 fn check(config: &StudyConfig) -> Result<KernelStats, String> {
-    let seeds = SeedTree::new(config.seed).child(&[0xEC]);
     let gallery = config.subjects * 10;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
+    let cohort = Cohort::new(config.seed, 0xEC, gallery);
     let index_config = IndexConfig::scaled(gallery);
-
-    let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config)
-        .with_run_seed(config.seed);
-    index.enroll_all(&pool);
-
-    let probes = gallery.min(MAX_PROBES);
-    let stride = gallery / probes;
-    let probe_of = |p: usize| -> Template {
-        let subject = p * stride;
-        let profile = if p.is_multiple_of(2) {
-            SAME_DEVICE
-        } else {
-            CROSS_DEVICE
-        };
-        recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-    };
+    let index = enroll(&cohort.pool, index_config, config.seed);
+    let probes = cohort.probes(gallery, MAX_PROBES);
 
     // 1. Score parity: blocked kernel vs scalar reference, bitwise, plus
     // exact hamming_ops agreement, for every probe over the whole gallery.
     let mut entries_checked = 0u64;
     let mut hamming_ops = 0u64;
-    for p in 0..probes {
-        let probe = probe_of(p);
-        let (blocked, ops_blocked) = index.stage1_cylinder_scores(&probe);
-        let (reference, ops_reference) = index.stage1_cylinder_scores_reference(&probe);
+    for (p, probe) in probes.iter().enumerate() {
+        let (blocked, ops_blocked) = index.stage1_cylinder_scores(&probe.template);
+        let (reference, ops_reference) = index.stage1_cylinder_scores_reference(&probe.template);
         if ops_blocked != ops_reference {
             return Err(format!(
                 "probe {p}: hamming_ops diverged (blocked {ops_blocked}, \
@@ -106,105 +83,48 @@ fn check(config: &StudyConfig) -> Result<KernelStats, String> {
 
     // 2. Transport parity: the same probe loop on every transport must
     // produce identical candidate lists, hence identical RUNFP chains.
-    let unsharded_results: Vec<_> = (0..probes).map(|p| index.search(&probe_of(p))).collect();
-    let runfp = index.run_fingerprint().hex();
+    let baseline = Baseline::search(&index, &probes);
 
     let shards = config.shards.max(2);
     let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, shards)
         .with_run_seed(config.seed);
-    sharded.enroll_all(&pool);
-    for (p, unsharded_result) in unsharded_results.iter().enumerate() {
-        let result = sharded.search(&probe_of(p));
-        if result.candidates() != unsharded_result.candidates() {
-            return Err(format!(
-                "probe {p}: {shards}-shard candidate list diverged from unsharded"
-            ));
-        }
-    }
-    let runfp_sharded = sharded.run_fingerprint().hex();
-    if runfp_sharded != runfp {
-        return Err(format!(
-            "RUNFP diverged: unsharded {runfp}, {shards}-shard {runfp_sharded}"
-        ));
-    }
+    sharded.enroll_all(&cohort.pool);
+    let sharded = replay(&sharded, &probes, &baseline, 1)?;
+    sharded.require_parity(&format!("{shards}-shard"))?;
 
     let mut runfp_remote = None;
     if config.remote_shards >= 1 {
-        let hex = remote_runfp(config, &pool, index_config, &unsharded_results, &probe_of)?;
-        if hex != runfp {
-            return Err(format!(
-                "RUNFP diverged: unsharded {runfp}, remote {hex} \
-                 ({} serve-shard children)",
-                config.remote_shards
-            ));
-        }
-        runfp_remote = Some(hex);
+        let mut topology = Topology::plain(
+            config.remote_shards,
+            index_config,
+            config.seed,
+            &Telemetry::disabled(),
+        )?;
+        topology
+            .coordinator
+            .enroll_all(&cohort.pool)
+            .map_err(|e| e.to_string())?;
+        let remote = replay(&topology.coordinator, &probes, &baseline, 1)?;
+        topology.shutdown();
+        remote.require_parity(&format!(
+            "remote ({} serve-shard children)",
+            config.remote_shards
+        ))?;
+        runfp_remote = Some(remote.runfp);
     }
 
     Ok(KernelStats {
         gallery,
-        probes,
+        probes: probes.len(),
         entries_checked,
         hamming_ops,
         arena_kib: index.arena().packed_bytes() / 1024,
-        runfp,
-        runfp_sharded,
+        runfp: baseline.runfp,
+        runfp_sharded: sharded.runfp,
         shards,
         runfp_remote,
         remote_shards: config.remote_shards,
     })
-}
-
-/// The cross-process rung: the same probe loop through real `serve-shard`
-/// children, returning the coordinator's RUNFP hex (after auditing full
-/// candidate-list parity per probe).
-fn remote_runfp(
-    config: &StudyConfig,
-    pool: &[Template],
-    index_config: IndexConfig,
-    unsharded_results: &[fp_index::SearchResult],
-    probe_of: &dyn Fn(usize) -> Template,
-) -> Result<String, String> {
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let mut children = Vec::with_capacity(config.remote_shards);
-    for _ in 0..config.remote_shards {
-        children.push(
-            spawn_shard(&exe, &["serve-shard"])
-                .map_err(|e| format!("spawn {exe:?} serve-shard: {e}"))?,
-        );
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-    let mut remote = Coordinator::connect(
-        &addrs,
-        index_config,
-        Duration::from_secs(60),
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_run_seed(config.seed);
-    remote.enroll_all(pool).map_err(|e| e.to_string())?;
-
-    for (p, unsharded_result) in unsharded_results.iter().enumerate() {
-        let result = remote.search(&probe_of(p)).map_err(|e| e.to_string())?;
-        if result.candidates() != unsharded_result.candidates() {
-            return Err(format!(
-                "probe {p}: remote candidate list diverged from unsharded"
-            ));
-        }
-    }
-    let hex = remote.run_fingerprint().hex();
-    remote
-        .verify_fingerprints()
-        .map_err(|e| format!("fingerprint verification: {e}"))?;
-
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
-    Ok(hex)
 }
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on

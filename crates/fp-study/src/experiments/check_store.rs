@@ -26,19 +26,18 @@
 //! Any divergence fails the gate loudly with the first offending probe.
 
 use std::path::Path;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use fp_core::rng::SeedTree;
 use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig};
-use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy};
+use fp_index::IndexConfig;
 use fp_store::{CompactStats, GalleryStore};
+use fp_telemetry::Telemetry;
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::topology::{
+    enroll, replay, synthetic_template, Baseline, Cohort, Probe, Topology,
+};
 use crate::report::Report;
 
 /// Probes checked on every rung (each searches the whole gallery).
@@ -78,20 +77,26 @@ fn prepare_dir(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Candidate lists must agree element-wise; scores compare by bits via
-/// `Candidate`'s derived equality.
-fn assert_parity(
-    rung: &str,
-    p: usize,
-    got: &fp_index::SearchResult,
-    want: &fp_index::SearchResult,
-) -> Result<(), String> {
-    if got.candidates() != want.candidates() {
-        return Err(format!(
-            "probe {p}: {rung} candidate list diverged from fresh enrollment"
-        ));
-    }
-    Ok(())
+/// Writes `cohort`'s pool at `dir` (already prepared) as TWO segments
+/// (60/40), so the open path exercises multi-segment concatenation, not
+/// just a trivial single-file load. Returns the store, segment A's
+/// sequence number and its length.
+fn write_gallery(
+    dir: &Path,
+    cohort: &Cohort,
+    config: &StudyConfig,
+) -> Result<(GalleryStore, u32, usize), String> {
+    let index_config = IndexConfig::scaled(cohort.pool.len());
+    let split = cohort.pool.len() * 3 / 5;
+    let mut store =
+        GalleryStore::create(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let seq_a = store
+        .append_index(&enroll(&cohort.pool[..split], index_config, config.seed))
+        .map_err(|e| format!("append segment A: {e}"))?;
+    store
+        .append_index(&enroll(&cohort.pool[split..], index_config, config.seed))
+        .map_err(|e| format!("append segment B: {e}"))?;
+    Ok((store, seq_a, split))
 }
 
 /// Builds the gate's synthetic gallery at `dir` as two segments — the
@@ -101,26 +106,8 @@ fn assert_parity(
 /// compacted by the other subcommands.
 pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize), String> {
     prepare_dir(dir)?;
-    let seeds = SeedTree::new(config.seed).child(&[0xE5]);
-    let gallery = config.subjects * 10;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
-    let index_config = IndexConfig::scaled(gallery);
-    let enroll = |templates: &[Template]| -> CandidateIndex<PairTableMatcher> {
-        let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config);
-        index.enroll_all(templates);
-        index
-    };
-    let mut store =
-        GalleryStore::create(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let split = gallery * 3 / 5;
-    store
-        .append_index(&enroll(&pool[..split]))
-        .map_err(|e| format!("append segment A: {e}"))?;
-    store
-        .append_index(&enroll(&pool[split..]))
-        .map_err(|e| format!("append segment B: {e}"))?;
+    let cohort = Cohort::new(config.seed, 0xE5, config.subjects * 10);
+    let (store, _, _) = write_gallery(dir, &cohort, config)?;
     Ok((store.live_len(), store.segments().len()))
 }
 
@@ -128,51 +115,19 @@ pub fn build_gallery(config: &StudyConfig, dir: &Path) -> Result<(usize, usize),
 fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     prepare_dir(dir)?;
 
-    let seeds = SeedTree::new(config.seed).child(&[0xE5]);
     let gallery = config.subjects * 10;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
+    let cohort = Cohort::new(config.seed, 0xE5, gallery);
     let index_config = IndexConfig::scaled(gallery);
-    let enroll = |templates: &[Template]| -> CandidateIndex<PairTableMatcher> {
-        let mut index = CandidateIndex::with_config(PairTableMatcher::default(), index_config);
-        index.enroll_all(templates);
-        index
-    };
-
-    let probes = gallery.min(MAX_PROBES);
-    let stride = gallery / probes;
-    let probe_of = |p: usize| -> Template {
-        let subject = p * stride;
-        let profile = if p.is_multiple_of(2) {
-            SAME_DEVICE
-        } else {
-            CROSS_DEVICE
-        };
-        recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-    };
+    let probes = cohort.probes(gallery, MAX_PROBES);
 
     // The fresh-enrollment baseline every rung is compared against — and
     // the enroll-from-scratch cost the store exists to avoid paying twice.
     let start = Instant::now();
-    let mut baseline = CandidateIndex::with_config(PairTableMatcher::default(), index_config)
-        .with_run_seed(config.seed);
-    baseline.enroll_all(&pool);
+    let fresh = enroll(&cohort.pool, index_config, config.seed);
     let enroll_ms = start.elapsed().as_secs_f64() * 1e3;
-    let baseline_results: Vec<_> = (0..probes).map(|p| baseline.search(&probe_of(p))).collect();
-    let runfp = baseline.run_fingerprint().hex();
+    let baseline = Baseline::search(&fresh, &probes);
 
-    // Build the store as TWO segments (60/40) so the open path exercises
-    // multi-segment concatenation, not just a trivial single-file load.
-    let mut store =
-        GalleryStore::create(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-    let split = gallery * 3 / 5;
-    let seq_a = store
-        .append_index(&enroll(&pool[..split]))
-        .map_err(|e| format!("append segment A: {e}"))?;
-    store
-        .append_index(&enroll(&pool[split..]))
-        .map_err(|e| format!("append segment B: {e}"))?;
+    let (mut store, seq_a, split) = write_gallery(dir, &cohort, config)?;
 
     // Rung 1: plain open parity (timed — the headline number).
     let start = Instant::now();
@@ -187,15 +142,7 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
             opened.len()
         ));
     }
-    for (p, want) in baseline_results.iter().enumerate() {
-        assert_parity("opened-store", p, &opened.search(&probe_of(p)), want)?;
-    }
-    let runfp_opened = opened.run_fingerprint().hex();
-    if runfp_opened != runfp {
-        return Err(format!(
-            "RUNFP diverged: fresh {runfp}, opened store {runfp_opened}"
-        ));
-    }
+    replay(&opened, &probes, &baseline, 1)?.require_parity("opened-store")?;
 
     // Rung 2: the same store dealt into an in-process sharded index.
     let shards = config.shards.max(2);
@@ -203,29 +150,13 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
         .open_sharded(shards)
         .map_err(|e| format!("open sharded: {e}"))?
         .with_run_seed(config.seed);
-    for (p, want) in baseline_results.iter().enumerate() {
-        assert_parity("sharded-open", p, &sharded.search(&probe_of(p)), want)?;
-    }
-    let runfp_sharded = sharded.run_fingerprint().hex();
-    if runfp_sharded != runfp {
-        return Err(format!(
-            "RUNFP diverged: fresh {runfp}, {shards}-shard open {runfp_sharded}"
-        ));
-    }
+    replay(&sharded, &probes, &baseline, 1)?.require_parity(&format!("{shards}-shard open"))?;
 
     // Rung 3: a real serve-shard child loads the gallery itself — zero
     // enroll RPCs — then survives a SIGKILL + restart from the same dir.
-    let mut remote_checked = false;
-    if config.remote_shards >= 1 {
-        remote_rung(
-            config,
-            dir,
-            index_config,
-            &baseline_results,
-            &probe_of,
-            &runfp,
-        )?;
-        remote_checked = true;
+    let remote_checked = config.remote_shards >= 1;
+    if remote_checked {
+        remote_rung(config, dir, index_config, &probes, &baseline)?;
     }
 
     // Rung 4: churn. Tombstone every 7th entry of segment A, append a
@@ -238,25 +169,21 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
     }
     let churn_tombstoned = split.div_ceil(7);
     let replacements: Vec<Template> = (0..3)
-        .map(|j| synthetic_template(&seeds, (gallery * 10 + j) as u64, 26))
+        .map(|j| synthetic_template(&cohort.seeds, (gallery * 10 + j) as u64, 26))
         .collect();
     store
-        .append_index(&enroll(&replacements))
+        .append_index(&enroll(&replacements, index_config, config.seed))
         .map_err(|e| format!("append replacement segment: {e}"))?;
 
-    let mut live: Vec<Template> = pool[..split]
+    let mut live: Vec<Template> = cohort.pool[..split]
         .iter()
         .enumerate()
         .filter(|(at, _)| at % 7 != 0)
         .map(|(_, t)| t.clone())
         .collect();
-    live.extend_from_slice(&pool[split..]);
+    live.extend_from_slice(&cohort.pool[split..]);
     live.extend_from_slice(&replacements);
-    let mut fresh = CandidateIndex::with_config(PairTableMatcher::default(), index_config)
-        .with_run_seed(config.seed);
-    fresh.enroll_all(&live);
-    let fresh_results: Vec<_> = (0..probes).map(|p| fresh.search(&probe_of(p))).collect();
-    let fresh_runfp = fresh.run_fingerprint().hex();
+    let fresh = Baseline::search(&enroll(&live, index_config, config.seed), &probes);
 
     let churned = store
         .open_index()
@@ -269,15 +196,7 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
             live.len()
         ));
     }
-    for (p, want) in fresh_results.iter().enumerate() {
-        assert_parity("churned-store", p, &churned.search(&probe_of(p)), want)?;
-    }
-    let runfp_churned = churned.run_fingerprint().hex();
-    if runfp_churned != fresh_runfp {
-        return Err(format!(
-            "RUNFP diverged after churn: fresh {fresh_runfp}, opened {runfp_churned}"
-        ));
-    }
+    replay(&churned, &probes, &fresh, 1)?.require_parity("churned-store")?;
 
     // Rung 5: compact reclaims the tombstones without perturbing a byte.
     let compact = store.compact().map_err(|e| format!("compact: {e}"))?;
@@ -298,15 +217,7 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
         .open_index()
         .map_err(|e| format!("open compacted gallery: {e}"))?
         .with_run_seed(config.seed);
-    for (p, want) in fresh_results.iter().enumerate() {
-        assert_parity("compacted-store", p, &compacted.search(&probe_of(p)), want)?;
-    }
-    let runfp_compacted = compacted.run_fingerprint().hex();
-    if runfp_compacted != fresh_runfp {
-        return Err(format!(
-            "RUNFP diverged after compact: fresh {fresh_runfp}, opened {runfp_compacted}"
-        ));
-    }
+    replay(&compacted, &probes, &fresh, 1)?.require_parity("compacted-store")?;
     let inspect = store.inspect().map_err(|e| format!("inspect: {e}"))?;
     if !inspect.all_crc_ok() {
         return Err("a compacted segment failed its CRC check".to_string());
@@ -314,9 +225,9 @@ fn check(config: &StudyConfig, dir: &Path) -> Result<StoreStats, String> {
 
     Ok(StoreStats {
         gallery,
-        probes,
+        probes: probes.len(),
         shards,
-        runfp,
+        runfp: baseline.runfp,
         enroll_ms,
         open_ms,
         remote_checked,
@@ -340,56 +251,34 @@ fn remote_rung(
     config: &StudyConfig,
     dir: &Path,
     index_config: IndexConfig,
-    baseline_results: &[fp_index::SearchResult],
-    probe_of: &dyn Fn(usize) -> Template,
-    runfp: &str,
+    probes: &[Probe],
+    baseline: &Baseline,
 ) -> Result<(), String> {
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
     let dir_arg = dir.to_str().ok_or("gallery dir is not valid UTF-8")?;
-    let args = ["serve-shard", "--gallery-dir", dir_arg];
-    let probe_loop = |label: &str| -> Result<(), String> {
-        let mut child = spawn_shard(&exe, &args)
-            .map_err(|e| format!("spawn {exe:?} serve-shard --gallery-dir: {e}"))?;
-        let remote = Coordinator::connect(
-            &[child.addr],
+    let child_args = [vec!["--gallery-dir".to_string(), dir_arg.to_string()]];
+    // The first pass crashes the child instead of shutting it down — the
+    // restart pass must recover from the same directory.
+    for (label, crash) in [
+        ("serve-from-store", true),
+        ("serve-after-crash-restart", false),
+    ] {
+        let topology = Topology::spawn(
+            &child_args,
             index_config,
-            Duration::from_secs(60),
-            RetryPolicy::default(),
+            config.seed,
+            &Telemetry::disabled(),
         )
-        .map_err(|e| format!("{label}: connect: {e}"))?
-        .with_run_seed(config.seed);
-        for (p, want) in baseline_results.iter().enumerate() {
-            let result = remote
-                .search(&probe_of(p))
-                .map_err(|e| format!("{label}: probe {p}: {e}"))?;
-            if result.candidates() != want.candidates() {
-                return Err(format!(
-                    "probe {p}: {label} candidate list diverged from fresh enrollment"
-                ));
-            }
-        }
-        let hex = remote.run_fingerprint().hex();
-        if hex != runfp {
-            return Err(format!("RUNFP diverged: fresh {runfp}, {label} {hex}"));
-        }
-        remote
-            .verify_fingerprints()
-            .map_err(|e| format!("{label}: fingerprint verification: {e}"))?;
-        if label.starts_with("serve-from-store") {
-            // First pass: crash the child instead of shutting it down —
-            // the restart pass below must recover from the same directory.
-            child.kill();
+        .map_err(|e| format!("{label}: {e}"))?;
+        replay(&topology.coordinator, probes, baseline, 1)
+            .map_err(|e| format!("{label}: {e}"))?
+            .require_parity(label)?;
+        if crash {
+            drop(topology); // SIGKILLs the child: `ShardChild` kills on drop
         } else {
-            let _ = remote.shutdown_all();
-            child.wait_exit(Duration::from_secs(5));
+            topology.shutdown();
         }
-        Ok(())
-    };
-    probe_loop("serve-from-store")?;
-    probe_loop("serve-after-crash-restart")
+    }
+    Ok(())
 }
 
 /// Runs the gate and renders the report. `values["error"]` is `null` on

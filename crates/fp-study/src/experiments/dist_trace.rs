@@ -24,19 +24,14 @@
 //! [`Coordinator::collect_traces`]: fp_serve::Coordinator::collect_traces
 
 use std::sync::Arc;
-use std::time::Duration;
 
-use fp_core::rng::SeedTree;
-use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, SearchResult};
-use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy, SlowLog, SlowLogEntry};
+use fp_index::IndexConfig;
+use fp_serve::{SlowLog, SlowLogEntry};
 use fp_telemetry::{Telemetry, TraceSnapshot, LOCAL_PID};
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::topology::{enroll, replay, Baseline, Cohort, Probe, Replay, Topology};
 use crate::report::Report;
 
 /// Probes per pass: small — the delayed shard pays `2 * delay_ms` per
@@ -57,8 +52,7 @@ pub struct DistTraceOutcome {
 
 /// What one pass over the topology measured.
 struct Pass {
-    results: Vec<SearchResult>,
-    runfp: String,
+    replay: Replay,
     /// Traced pass only: the merged snapshot and the retained exemplars.
     merged: Option<TraceSnapshot>,
     spans_collected: usize,
@@ -142,50 +136,49 @@ fn run_passes(
     delayed: usize,
     delay_ms: u64,
 ) -> Result<(Checks, TraceSnapshot, String), String> {
-    let seeds = SeedTree::new(config.seed).child(&[0xD7]);
     let gallery = config.subjects;
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
-    let probes: Vec<Template> = (0..gallery.min(MAX_PROBES))
-        .map(|p| {
-            let subject = p * (gallery / gallery.min(MAX_PROBES));
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-        })
-        .collect();
+    let cohort = Cohort::new(config.seed, 0xD7, gallery);
+    let probes = cohort.probes(gallery, MAX_PROBES);
 
     // Sequential in-process baseline: the untraced and traced passes must
     // both be byte-identical to it (and hence to each other).
-    let mut baseline_index =
-        CandidateIndex::with_config(PairTableMatcher::default(), IndexConfig::scaled(gallery))
-            .with_run_seed(config.seed);
-    baseline_index.enroll_all(&pool);
-    let baseline: Vec<SearchResult> = probes.iter().map(|p| baseline_index.search(p)).collect();
-    let runfp_baseline = baseline_index.run_fingerprint().hex();
+    let baseline = Baseline::search(
+        &enroll(&cohort.pool, IndexConfig::scaled(gallery), config.seed),
+        &probes,
+    );
 
-    let untraced = run_pass(config, &pool, &probes, shards, delayed, delay_ms, false)?;
-    let traced = run_pass(config, &pool, &probes, shards, delayed, delay_ms, true)?;
+    // The injected delay rides in *both* passes so their latencies — and
+    // hence their results and fingerprints — are measured under identical
+    // conditions; only the tracing differs.
+    let child_args: Vec<Vec<String>> = (0..shards)
+        .map(|k| {
+            if k == delayed {
+                vec!["--delay-ms".to_string(), delay_ms.to_string()]
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    let pass = |traced| {
+        run_pass(
+            config,
+            &cohort,
+            &probes,
+            &baseline,
+            &child_args,
+            delay_ms,
+            traced,
+        )
+    };
+    let untraced = pass(false)?;
+    let traced = pass(true)?;
 
     let mut checks: Checks = Vec::new();
     let mut check =
         |name: &str, ok: bool, detail: String| checks.push((name.to_string(), ok, detail));
 
     // 1. Behavioral invisibility.
-    let parity = |pass: &Pass| {
-        pass.results
-            .iter()
-            .zip(&baseline)
-            .filter(|(got, want)| {
-                got.candidates() == want.candidates() && got.gallery_len() == want.gallery_len()
-            })
-            .count()
-    };
-    let (untraced_parity, traced_parity) = (parity(&untraced), parity(&traced));
+    let (untraced_parity, traced_parity) = (untraced.replay.agreed(), traced.replay.agreed());
     check(
         "candidate parity",
         untraced_parity == probes.len() && traced_parity == probes.len(),
@@ -196,12 +189,13 @@ fn run_passes(
             probes.len()
         ),
     );
+    let runfp_baseline = &baseline.runfp;
     check(
         "runfp parity",
-        untraced.runfp == runfp_baseline && traced.runfp == runfp_baseline,
+        untraced.replay.runfp == *runfp_baseline && traced.replay.runfp == *runfp_baseline,
         format!(
             "baseline {runfp_baseline}, untraced {}, traced {}",
-            untraced.runfp, traced.runfp
+            untraced.replay.runfp, traced.replay.runfp
         ),
     );
 
@@ -302,37 +296,17 @@ fn run_passes(
     Ok((checks, merged, traced.slowlog_jsonl))
 }
 
-/// One full pass over a fresh topology: spawn, enroll, search every probe,
-/// (optionally) drain + merge traces, tear down.
+/// One full pass over a fresh topology: spawn, enroll, replay every probe
+/// against the baseline, (optionally) drain + merge traces, tear down.
 fn run_pass(
     config: &StudyConfig,
-    pool: &[Template],
-    probes: &[Template],
-    shards: usize,
-    delayed: usize,
+    cohort: &Cohort,
+    probes: &[Probe],
+    baseline: &Baseline,
+    child_args: &[Vec<String>],
     delay_ms: u64,
     traced: bool,
 ) -> Result<Pass, String> {
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let delay = delay_ms.to_string();
-    let mut children = Vec::with_capacity(shards);
-    for k in 0..shards {
-        // The injected delay rides in *both* passes so their latencies —
-        // and hence their results and fingerprints — are measured under
-        // identical conditions; only the tracing differs.
-        let args: Vec<&str> = if k == delayed {
-            vec!["serve-shard", "--delay-ms", &delay]
-        } else {
-            vec!["serve-shard"]
-        };
-        children
-            .push(spawn_shard(&exe, &args).map_err(|e| format!("spawn {exe:?} {args:?}: {e}"))?);
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-
     let telemetry = if traced {
         Telemetry::enabled()
     } else {
@@ -344,76 +318,42 @@ fn run_pass(
         &telemetry,
         delay_ms.saturating_mul(1_000_000) / 2,
     ));
-    let mut remote = Coordinator::connect(
-        &addrs,
-        IndexConfig::scaled(pool.len()),
-        Duration::from_secs(60),
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_telemetry(&telemetry)
-    .with_run_seed(config.seed);
-    if traced {
-        remote = remote.with_slowlog(Arc::clone(&slowlog));
-    }
+    let mut topology = Topology::spawn(
+        child_args,
+        IndexConfig::scaled(cohort.pool.len()),
+        config.seed,
+        &telemetry,
+    )?
+    .with_slowlog(traced.then(|| Arc::clone(&slowlog)));
 
-    let mut results = Vec::with_capacity(probes.len());
     let mut spans_collected = 0;
-    {
+    let replay = {
         // The pass root span: every serve.rpc (enroll, stage-1, re-rank,
-        // trace drain) nests under it, so the merged snapshot forms a
-        // single connected tree.
-        let _root = telemetry.span_with("check.dist_trace", &[("shards", shards.to_string())]);
-        remote.enroll_all(pool).map_err(|e| e.to_string())?;
-        for probe in probes {
-            results.push(remote.search(probe).map_err(|e| e.to_string())?);
-        }
+        // fingerprint check, trace drain) nests under it, so the merged
+        // snapshot forms a single connected tree.
+        let _root = telemetry.span_with(
+            "check.dist_trace",
+            &[("shards", child_args.len().to_string())],
+        );
+        topology
+            .coordinator
+            .enroll_all(&cohort.pool)
+            .map_err(|e| e.to_string())?;
+        let remote = &topology.coordinator;
+        let replay = replay(remote, probes, baseline, 1)?;
         if traced {
             spans_collected = remote.collect_traces().map_err(|e| e.to_string())?;
         }
-    }
-    let merged = traced.then(|| remote.merged_trace());
-    let runfp = remote.run_fingerprint().hex();
-
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
+        replay
+    };
+    let merged = traced.then(|| topology.coordinator.merged_trace());
+    topology.shutdown();
 
     Ok(Pass {
-        results,
-        runfp,
+        replay,
         merged,
         spans_collected,
         exemplars: slowlog.entries(),
         slowlog_jsonl: slowlog.to_jsonl(),
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The gate end to end at a tiny scale. Like the load harness test,
-    /// the serve-shard spawn needs the study binary (FP_SERVE_SHARD_EXE
-    /// when set by CI); without it the outcome carries the error and must
-    /// not panic.
-    #[test]
-    fn tiny_gate_reports_error_or_all_checks() {
-        let config = StudyConfig::builder().subjects(8).seed(13).build();
-        let outcome = run_check(&config, 5);
-        assert_eq!(outcome.report.id, "check-dist-trace");
-        let values = &outcome.report.values;
-        if values["error"].is_null() {
-            assert!(values["checks"]
-                .as_array()
-                .unwrap()
-                .iter()
-                .all(|c| c["ok"] == true));
-            assert!(!outcome.merged.spans.is_empty());
-            assert!(!outcome.slowlog_jsonl.is_empty());
-        } else {
-            assert!(outcome.merged.spans.is_empty());
-        }
-    }
 }

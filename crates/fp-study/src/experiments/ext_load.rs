@@ -29,21 +29,17 @@
 //!
 //! `study check-load` gates the emitted JSON on all four.
 
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-use fp_core::rng::SeedTree;
-use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, SearchResult};
-use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
+use fp_index::IndexConfig;
 use fp_serve::wire::Frame;
-use fp_serve::{Coordinator, MuxConn, RetryPolicy, SlowLog};
+use fp_serve::{MuxConn, SlowLog};
 use fp_telemetry::{Level, Telemetry};
 use serde_json::json;
 
 use crate::config::StudyConfig;
-use crate::experiments::ext_scaling::{recapture, synthetic_template, CROSS_DEVICE, SAME_DEVICE};
+use crate::experiments::topology::{enroll, replay, Baseline, Cohort, Topology, DEADLINE};
 use crate::report::Report;
 
 /// Probes per pass (capped so the whole harness stays seconds-scale).
@@ -255,7 +251,6 @@ fn load_rung(
     telemetry: &Telemetry,
     slowlog: Option<Arc<SlowLog>>,
 ) -> Result<LoadData, String> {
-    let seeds = SeedTree::new(config.seed).child(&[0xEA]);
     let gallery = config.subjects;
     let shards = if config.remote_shards >= 1 {
         config.remote_shards
@@ -270,59 +265,23 @@ fn load_rung(
         ],
     );
 
-    let pool: Vec<Template> = (0..gallery)
-        .map(|i| synthetic_template(&seeds, i as u64, 22 + i % 14))
-        .collect();
-    let probes: Vec<Template> = (0..gallery.min(MAX_PROBES))
-        .map(|p| {
-            let subject = p * (gallery / gallery.min(MAX_PROBES));
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile)
-        })
-        .collect();
+    let cohort = Cohort::new(config.seed, 0xEA, gallery);
+    let probes = cohort.probes(gallery, MAX_PROBES);
     let n = probes.len();
 
     // Sequential in-process baseline: the byte-level ground truth every
     // concurrent result — and the coordinator's RUNFP chain — must equal.
-    let mut baseline_index =
-        CandidateIndex::with_config(PairTableMatcher::default(), IndexConfig::scaled(gallery))
-            .with_run_seed(config.seed);
-    baseline_index.enroll_all(&pool);
-    let baseline: Vec<SearchResult> = probes.iter().map(|p| baseline_index.search(p)).collect();
-    let runfp_baseline = baseline_index.run_fingerprint().hex();
+    let index_config = IndexConfig::scaled(gallery);
+    let baseline = Baseline::search(&enroll(&cohort.pool, index_config, config.seed), &probes);
 
-    // The loopback topology: serve-shard children of this very binary
-    // (FP_SERVE_SHARD_EXE overrides, e.g. for tests driving a test build).
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let mut children = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        children.push(
-            spawn_shard(&exe, &["serve-shard"])
-                .map_err(|e| format!("spawn {exe:?} serve-shard: {e}"))?,
-        );
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-    let deadline = Duration::from_secs(60);
-    let mut remote = Coordinator::connect(
-        &addrs,
-        IndexConfig::scaled(gallery),
-        deadline,
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_telemetry(telemetry)
-    .with_run_seed(config.seed);
-    if let Some(slowlog) = slowlog {
-        remote = remote.with_slowlog(slowlog);
-    }
-    remote.enroll_all(&pool).map_err(|e| e.to_string())?;
+    let mut topology =
+        Topology::plain(shards, index_config, config.seed, telemetry)?.with_slowlog(slowlog);
+    topology
+        .coordinator
+        .enroll_all(&cohort.pool)
+        .map_err(|e| e.to_string())?;
+    let remote = &topology.coordinator;
+    let addrs = topology.addrs();
     telemetry.event_with(
         Level::Info,
         "load topology up",
@@ -334,45 +293,12 @@ fn load_rung(
     );
 
     // Phase 1: concurrent correctness. PARITY_THREADS threads share the
-    // one coordinator; probe i goes to thread i % PARITY_THREADS. Results
-    // come back tagged with their probe index, so parity is per-probe.
-    let results = Mutex::new(vec![None::<SearchResult>; n]);
-    std::thread::scope(|scope| -> Result<(), String> {
-        let handles: Vec<_> = (0..PARITY_THREADS)
-            .map(|t| {
-                let remote = &remote;
-                let probes = &probes;
-                let results = &results;
-                scope.spawn(move || -> Result<(), String> {
-                    for i in (t..probes.len()).step_by(PARITY_THREADS) {
-                        let result = remote.search(&probes[i]).map_err(|e| e.to_string())?;
-                        results.lock().expect("results lock")[i] = Some(result);
-                    }
-                    Ok(())
-                })
-            })
-            .collect();
-        for handle in handles {
-            handle.join().expect("client thread panicked")?;
-        }
-        Ok(())
-    })?;
-    let results = results.into_inner().expect("results lock");
-    let mut parity_agreed = 0usize;
-    for (got, want) in results.iter().zip(&baseline) {
-        let got = got.as_ref().expect("every probe searched");
-        // Byte-level parity: same ids in the same order with the very same
-        // score bits (`Candidate: PartialEq` compares the f64 exactly).
-        if got.candidates() == want.candidates() && got.gallery_len() == want.gallery_len() {
-            parity_agreed += 1;
-        }
-    }
-    // The chain covers exactly the concurrent pass; snapshot before the
-    // ladder replays the probes, then check shard chains for drift.
-    let runfp_remote = remote.run_fingerprint().hex();
-    remote
-        .verify_fingerprints()
-        .map_err(|e| format!("fingerprint verification after concurrent pass: {e}"))?;
+    // one coordinator; probe i goes to thread i % PARITY_THREADS, and
+    // parity is per-probe. The chain covers exactly this pass; shard
+    // chains are checked for drift right after it.
+    let pass = replay(remote, &probes, &baseline, PARITY_THREADS)?;
+    let parity_agreed = pass.agreed();
+    let runfp_remote = pass.runfp;
     telemetry.event_with(
         if parity_agreed == n {
             Level::Info
@@ -392,9 +318,9 @@ fn load_rung(
     // awaited — peak_in_flight reaching eight is guaranteed by
     // construction, not by scheduler luck — and each pipelined response
     // must equal the sequential reply to the same request.
-    let conn = MuxConn::new(addrs[0], deadline);
+    let conn = MuxConn::new(addrs[0], DEADLINE);
     let request = Frame::StageOne {
-        probe: probes[0].clone(),
+        probe: probes[0].template.clone(),
         trace: None,
     };
     let tickets: Vec<_> = (0..PIPELINE_DEPTH)
@@ -451,7 +377,9 @@ fn load_rung(
                     scope.spawn(move || -> Result<(), String> {
                         for i in (t..probes.len()).step_by(clients) {
                             let start = Instant::now();
-                            remote.search(&probes[i]).map_err(|e| e.to_string())?;
+                            remote
+                                .search(&probes[i].template)
+                                .map_err(|e| e.to_string())?;
                             let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                             hist.record(ns);
                             mirror.record(ns);
@@ -500,7 +428,7 @@ fn load_rung(
     // on its own; the report sums them.
     let (mut offered, mut accepted, mut overloaded) = (0u64, 0u64, 0u64);
     for (k, &addr) in addrs.iter().enumerate() {
-        let stats_conn = MuxConn::new(addr, deadline);
+        let stats_conn = MuxConn::new(addr, DEADLINE);
         let (response, _, _) = stats_conn
             .call(&Frame::Stats)
             .map_err(|e| format!("stats scrape shard {k}: {e}"))?;
@@ -541,11 +469,7 @@ fn load_rung(
         ],
     );
 
-    // Clean wire-level shutdown, then reap; ShardChild kills stragglers.
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
+    topology.shutdown();
 
     Ok(LoadData {
         gallery,
@@ -554,7 +478,7 @@ fn load_rung(
         parity_checked: n,
         parity_agreed,
         runfp_remote,
-        runfp_baseline,
+        runfp_baseline: baseline.runfp,
         pipeline_peak,
         pipeline_parity,
         coordinator_peak,
@@ -563,31 +487,4 @@ fn load_rung(
         overloaded,
         rungs,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The whole harness end to end at a tiny scale, driving real
-    /// serve-shard children (the test binary is not the study binary, so
-    /// point FP_SERVE_SHARD_EXE at the study executable when set by CI;
-    /// without it the spawn fails and the report carries the error — the
-    /// run itself must not panic).
-    #[test]
-    fn tiny_run_reports_error_or_full_parity() {
-        let config = StudyConfig::builder().subjects(16).seed(11).build();
-        let report = run(&config);
-        assert_eq!(report.id, "ext-load");
-        let values = &report.values;
-        if values["error"].is_null() {
-            assert_eq!(values["parity_agreed"], values["parity_checked"]);
-            assert_eq!(values["runfp_remote"], values["runfp_baseline"]);
-            assert!(values["pipeline"]["peak_in_flight"].as_u64().unwrap() >= 4);
-        } else {
-            // Spawn failed (no serve-shard binary): rungs must be absent,
-            // not half-filled.
-            assert!(values["rungs"].as_array().unwrap().is_empty());
-        }
-    }
 }

@@ -17,20 +17,15 @@
 //! minutiae, and a 10x ladder through the image pipeline would swamp the
 //! experiment with rendering cost that has nothing to do with search.
 
-use fp_core::dist::normal;
-use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
-use fp_core::minutia::{Minutia, MinutiaKind};
-use fp_core::rng::SeedTree;
-use fp_core::template::Template;
-use fp_index::{CandidateIndex, IndexConfig, ShardedIndex};
+use std::time::Instant;
+
+use fp_index::{CandidateIndex, IndexConfig, SearchResult, ShardedIndex};
 use fp_match::PairTableMatcher;
-use fp_serve::proc::spawn_shard;
-use fp_serve::{Coordinator, RetryPolicy};
 use fp_telemetry::Telemetry;
-use rand::Rng;
 use serde_json::json;
 
 use crate::config::StudyConfig;
+use crate::experiments::topology::{replay, Baseline, Cohort, Probe, Topology};
 use crate::parallel::parallel_map_metered;
 use crate::report::Report;
 
@@ -40,7 +35,8 @@ const LADDER: [usize; 3] = [1, 5, 10];
 /// Probes searched per rung (capped so the ladder stays wall-clock-bounded).
 const MAX_PROBES: usize = 96;
 
-/// Exhaustive-scan audits per rung (brute force is the expensive baseline).
+/// Audited probes per rung: the exhaustive-scan rank-1 audit (brute force
+/// is the expensive baseline) and the reported shard/remote parity counts.
 const MAX_AUDITS: usize = 12;
 
 /// One rung of the gallery ladder.
@@ -55,9 +51,8 @@ struct ScalingRow {
     build_seconds: f64,
     searches_per_second: f64,
     brute_searches_per_second: f64,
-    /// Run fingerprint (hex) over exactly the rung's probe loop — the
-    /// chain is snapshotted before the audits re-search the index, so
-    /// sharded and remote rungs running the same probes must report the
+    /// Run fingerprint (hex) over exactly the rung's probe loop, so
+    /// sharded and remote rungs replaying the same probes must report the
     /// very same value.
     runfp: String,
 }
@@ -112,108 +107,6 @@ fn shard_ladder(max: usize) -> Vec<usize> {
     ladder
 }
 
-/// A deterministic synthetic template with `n` well-spread minutiae.
-/// Shared with the load harness (`ext_load`), which enrolls the same kind
-/// of gallery.
-pub(crate) fn synthetic_template(seeds: &SeedTree, id: u64, n: usize) -> Template {
-    let mut rng = seeds.child(&[0x5C, id]).rng();
-    let mut minutiae: Vec<Minutia> = Vec::new();
-    let mut attempts = 0;
-    while minutiae.len() < n && attempts < 10_000 {
-        attempts += 1;
-        let pos = Point::new(
-            rng.gen::<f64>() * 16.0 - 8.0,
-            rng.gen::<f64>() * 20.0 - 10.0,
-        );
-        if minutiae.iter().any(|m| m.pos.distance(&pos) < 1.4) {
-            continue;
-        }
-        let kind = if rng.gen::<bool>() {
-            MinutiaKind::RidgeEnding
-        } else {
-            MinutiaKind::Bifurcation
-        };
-        minutiae.push(Minutia::new(
-            pos,
-            Direction::from_radians(rng.gen::<f64>() * std::f64::consts::TAU),
-            kind,
-            1.0,
-        ));
-    }
-    Template::builder(500.0)
-        .capture_window_mm(20.0, 24.0)
-        .extend(minutiae)
-        .build()
-        .expect("synthetic template is valid")
-}
-
-/// Perturbation profile of a probe capture.
-#[derive(Clone, Copy)]
-pub(crate) struct Profile {
-    drop: f64,
-    jitter_mm: f64,
-    jitter_rad: f64,
-    motion_mm: f64,
-    motion_rad: f64,
-}
-
-/// Roughly a second capture on the same device.
-pub(crate) const SAME_DEVICE: Profile = Profile {
-    drop: 0.06,
-    jitter_mm: 0.10,
-    jitter_rad: 0.04,
-    motion_mm: 0.8,
-    motion_rad: 0.10,
-};
-
-/// Roughly a capture on a different device (heavier loss and distortion).
-pub(crate) const CROSS_DEVICE: Profile = Profile {
-    drop: 0.14,
-    jitter_mm: 0.20,
-    jitter_rad: 0.09,
-    motion_mm: 1.4,
-    motion_rad: 0.16,
-};
-
-/// A jittered re-capture of `template` under `profile`.
-pub(crate) fn recapture(
-    template: &Template,
-    seeds: &SeedTree,
-    id: u64,
-    profile: Profile,
-) -> Template {
-    let mut rng = seeds.child(&[0x5D, id]).rng();
-    let mut minutiae: Vec<Minutia> = Vec::new();
-    for m in template.minutiae() {
-        if rng.gen::<f64>() < profile.drop {
-            continue;
-        }
-        minutiae.push(Minutia::new(
-            Point::new(
-                m.pos.x + normal(&mut rng, 0.0, profile.jitter_mm),
-                m.pos.y + normal(&mut rng, 0.0, profile.jitter_mm),
-            ),
-            m.direction
-                .rotated(normal(&mut rng, 0.0, profile.jitter_rad)),
-            m.kind,
-            m.reliability,
-        ));
-    }
-    let motion = RigidMotion::new(
-        Direction::from_radians(normal(&mut rng, 0.0, profile.motion_rad)),
-        Vector::new(
-            normal(&mut rng, 0.0, profile.motion_mm),
-            normal(&mut rng, 0.0, profile.motion_mm),
-        ),
-    );
-    Template::builder(500.0)
-        .capture_window_mm(20.0, 24.0)
-        .extend(minutiae)
-        .build()
-        .expect("recaptured template is valid")
-        .transformed(&motion)
-}
-
 /// Runs the experiment.
 pub fn run(config: &StudyConfig) -> Report {
     run_with(config, &Telemetry::disabled())
@@ -223,17 +116,14 @@ pub fn run(config: &StudyConfig) -> Report {
 /// `telemetry`. Accuracy numbers (recall, rank-1, audit agreement) are pure
 /// functions of the seed; throughput numbers vary with the machine.
 pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
-    let seeds = SeedTree::new(config.seed).child(&[0xE5]);
     let max_gallery = config.subjects * LADDER[LADDER.len() - 1];
 
     // One template pool, shared by every rung as a prefix: rung results at
     // size N are independent of the ladder above them.
-    let pool: Vec<Template> = parallel_map_metered(max_gallery, telemetry, "scaling.pool", |i| {
-        synthetic_template(&seeds, i as u64, 22 + i % 14)
-    });
+    let cohort = Cohort::metered(config.seed, 0xE5, max_gallery, telemetry, "scaling.pool");
 
     let mut rows: Vec<ScalingRow> = Vec::new();
-    let mut top_index: Option<CandidateIndex<PairTableMatcher>> = None;
+    let mut top: Option<(Vec<Probe>, Baseline)> = None;
     for multiple in LADDER {
         let gallery = config.subjects * multiple;
         let _span = telemetry.span_with(
@@ -244,165 +134,93 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
             CandidateIndex::with_config(PairTableMatcher::default(), IndexConfig::scaled(gallery))
                 .with_telemetry(telemetry)
                 .with_run_seed(config.seed);
-        let build_start = std::time::Instant::now();
-        index.enroll_all(&pool[..gallery]);
+        let build_start = Instant::now();
+        index.enroll_all(&cohort.pool[..gallery]);
         let build_seconds = build_start.elapsed().as_secs_f64();
         let shortlist = index.config().shortlist.min(gallery);
 
-        // Probes spread over the whole gallery, alternating the two
-        // perturbation profiles.
-        let probes = gallery.min(MAX_PROBES);
-        let stride = gallery / probes;
-        let probe_of = |p: usize| -> (usize, Template) {
-            let subject = p * stride;
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            (
-                subject,
-                recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile),
-            )
-        };
-
-        let search_start = std::time::Instant::now();
-        let outcomes: Vec<(bool, bool)> =
-            parallel_map_metered(probes, telemetry, "scaling.search", |p| {
-                let (subject, probe) = probe_of(p);
-                let result = index.search(&probe);
-                let rank = result.genuine_rank(subject as u32);
-                (rank.is_some(), rank == Some(1))
-            });
+        let probes = cohort.probes(gallery, MAX_PROBES);
+        let search_start = Instant::now();
+        let results = parallel_map_metered(probes.len(), telemetry, "scaling.search", |p| {
+            index.search(&probes[p].template)
+        });
         let search_seconds = search_start.elapsed().as_secs_f64();
-        let in_shortlist = outcomes.iter().filter(|(hit, _)| *hit).count();
-        let rank1_hits = outcomes.iter().filter(|(_, r1)| *r1).count();
-        // Snapshot the run fingerprint NOW: the audits below re-search the
-        // index, and the rung's reported chain must cover exactly the
-        // probe loop the sharded/remote rungs replay.
-        let runfp = index.run_fingerprint().hex();
+        // The rung's chain covers exactly this probe loop — the loop the
+        // sharded/remote rungs replay against these results.
+        let baseline = Baseline {
+            results,
+            runfp: index.run_fingerprint().hex(),
+        };
+        let (recall, rank1) = accuracy(&probes, &baseline.results);
 
-        // Exhaustive-scan baseline and agreement audit on a probe subsample.
-        let audits = probes.min(MAX_AUDITS);
-        let audit_stride = probes / audits;
-        let brute_start = std::time::Instant::now();
+        // Exhaustive-scan baseline and rank-1 agreement audit on a probe
+        // subsample.
+        let audit_at = audit_indices(probes.len());
+        let brute_start = Instant::now();
         let agreed_flags: Vec<bool> =
-            parallel_map_metered(audits, telemetry, "scaling.audit", |a| {
-                let (_, probe) = probe_of(a * audit_stride);
-                let exhaustive = index.brute_force(&probe);
-                let indexed = index.search(&probe);
-                indexed.best().map(|c| c.id) == exhaustive.best().map(|c| c.id)
+            parallel_map_metered(audit_at.len(), telemetry, "scaling.audit", |a| {
+                let p = audit_at[a];
+                let exhaustive = index.brute_force(&probes[p].template);
+                baseline.results[p].best().map(|c| c.id) == exhaustive.best().map(|c| c.id)
             });
         let brute_seconds = brute_start.elapsed().as_secs_f64();
-        let audit_agreed = agreed_flags.iter().filter(|&&ok| ok).count();
 
         rows.push(ScalingRow {
             gallery,
             shortlist,
-            probes,
-            recall: in_shortlist as f64 / probes as f64,
-            rank1: rank1_hits as f64 / probes as f64,
-            audit_sampled: audits,
-            audit_agreed,
+            probes: probes.len(),
+            recall,
+            rank1,
+            audit_sampled: audit_at.len(),
+            audit_agreed: agreed_flags.iter().filter(|&&ok| ok).count(),
             build_seconds,
-            searches_per_second: probes as f64 / search_seconds.max(1e-9),
-            // Each audit also re-runs the indexed search; subtract its
-            // (much smaller) cost estimate to keep the baseline honest.
-            brute_searches_per_second: audits as f64
-                / (brute_seconds - audits as f64 * search_seconds.max(1e-9) / probes as f64)
-                    .max(1e-9),
-            runfp,
+            searches_per_second: probes.len() as f64 / search_seconds.max(1e-9),
+            brute_searches_per_second: audit_at.len() as f64 / brute_seconds.max(1e-9),
+            runfp: baseline.runfp.clone(),
         });
-        if multiple == LADDER[LADDER.len() - 1] {
-            top_index = Some(index);
-        }
+        top = Some((probes, baseline));
     }
+    let (probes, baseline) = top.expect("ladder is non-empty");
 
     // Shard ladder over the top rung: same gallery, same config, same
     // probes — the sharded results are provably identical to the unsharded
     // index, so recall must match the top rung *exactly* and the parity
     // audit compares full candidate lists, not just rank-1.
     let mut shard_rows: Vec<ShardRow> = Vec::new();
-    if config.shards >= 1 {
+    for s in shard_ladder(config.shards) {
         let gallery = max_gallery;
-        let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        let probes = gallery.min(MAX_PROBES);
-        let stride = gallery / probes;
-        let probe_of = |p: usize| -> (usize, Template) {
-            let subject = p * stride;
-            let profile = if p.is_multiple_of(2) {
-                SAME_DEVICE
-            } else {
-                CROSS_DEVICE
-            };
-            (
-                subject,
-                recapture(&pool[subject], &seeds, (gallery + subject) as u64, profile),
-            )
-        };
-        for s in shard_ladder(config.shards) {
-            let _span = telemetry.span_with(
-                &format!("scaling.shards{s}"),
-                &[("gallery", gallery.to_string()), ("shards", s.to_string())],
-            );
-            let mut sharded = ShardedIndex::with_config(
-                PairTableMatcher::default(),
-                IndexConfig::scaled(gallery),
-                s,
-            )
-            .with_telemetry(telemetry)
-            .with_run_seed(config.seed);
-            let build_start = std::time::Instant::now();
-            sharded.enroll_all(&pool[..gallery]);
-            let build_seconds = build_start.elapsed().as_secs_f64();
+        let _span = telemetry.span_with(
+            &format!("scaling.shards{s}"),
+            &[("gallery", gallery.to_string()), ("shards", s.to_string())],
+        );
+        let mut sharded =
+            ShardedIndex::with_config(PairTableMatcher::default(), IndexConfig::scaled(gallery), s)
+                .with_telemetry(telemetry)
+                .with_run_seed(config.seed);
+        let build_start = Instant::now();
+        sharded.enroll_all(&cohort.pool[..gallery]);
+        let build_seconds = build_start.elapsed().as_secs_f64();
 
-            // Sequential probe loop: each search fans out across the shard
-            // threads internally, so this measures per-search latency.
-            let search_start = std::time::Instant::now();
-            let mut in_shortlist = 0usize;
-            for p in 0..probes {
-                let (subject, probe) = probe_of(p);
-                if sharded
-                    .search(&probe)
-                    .genuine_rank(subject as u32)
-                    .is_some()
-                {
-                    in_shortlist += 1;
-                }
-            }
-            let search_seconds = search_start.elapsed().as_secs_f64();
-            let searches_per_second = probes as f64 / search_seconds.max(1e-9);
-            // Snapshot before the parity audits re-search this index.
-            let runfp = sharded.run_fingerprint().hex();
-
-            // Exact-parity audit: full candidate lists (ids AND scores, in
-            // order) against the unsharded top-rung index.
-            let audits = probes.min(MAX_AUDITS);
-            let audit_stride = probes / audits;
-            let mut parity_agreed = 0usize;
-            for a in 0..audits {
-                let (_, probe) = probe_of(a * audit_stride);
-                if sharded.search(&probe).candidates() == unsharded.search(&probe).candidates() {
-                    parity_agreed += 1;
-                }
-            }
-
-            let base = shard_rows
-                .first()
-                .map(|r| r.searches_per_second)
-                .unwrap_or(searches_per_second);
-            shard_rows.push(ShardRow {
-                shards: s,
-                probes,
-                recall: in_shortlist as f64 / probes as f64,
-                build_seconds,
-                searches_per_second,
-                speedup_vs_1: searches_per_second / base.max(1e-9),
-                parity_checked: audits,
-                parity_agreed,
-                runfp,
-            });
-        }
+        // Sequential probe loop: each search fans out across the shard
+        // threads internally, so this measures per-search latency.
+        let run = replay(&sharded, &probes, &baseline, 1).expect("in-process search is infallible");
+        let searches_per_second = probes.len() as f64 / run.seconds.max(1e-9);
+        let (parity_checked, parity_agreed) = audited(&run.agrees);
+        let base = shard_rows
+            .first()
+            .map(|r| r.searches_per_second)
+            .unwrap_or(searches_per_second);
+        shard_rows.push(ShardRow {
+            shards: s,
+            probes: probes.len(),
+            recall: accuracy(&probes, &run.results).0,
+            build_seconds,
+            searches_per_second,
+            speedup_vs_1: searches_per_second / base.max(1e-9),
+            parity_checked,
+            parity_agreed,
+            runfp: run.runfp,
+        });
     }
 
     // Cross-process rung: N `serve-shard` children over loopback behind a
@@ -411,9 +229,7 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     let mut remote_rows: Vec<RemoteRow> = Vec::new();
     let mut remote_error: Option<String> = None;
     if config.remote_shards >= 1 {
-        let gallery = max_gallery;
-        let unsharded = top_index.as_ref().expect("ladder is non-empty");
-        match remote_rung(config, telemetry, &pool, unsharded, &seeds, gallery) {
+        match remote_rung(config, telemetry, &cohort, &probes, &baseline) {
             Ok(row) => remote_rows.push(row),
             Err(e) => remote_error = Some(e),
         }
@@ -568,131 +384,89 @@ pub fn run_with(config: &StudyConfig, telemetry: &Telemetry) -> Report {
     )
 }
 
-/// Runs the cross-process rung: spawns `config.remote_shards` `serve-shard`
-/// children of this very binary (`FP_SERVE_SHARD_EXE` overrides the
-/// executable, e.g. for tests driving a library build), enrolls the top
-/// gallery rung through an `fp-serve` [`Coordinator`], and audits full
-/// candidate-list parity against both the unsharded index and an
-/// in-process [`ShardedIndex`] with the same shard count.
+/// Probe positions of the parity/brute-force audit subsample: at most
+/// [`MAX_AUDITS`], evenly strided over the probe set.
+fn audit_indices(probes: usize) -> Vec<usize> {
+    let audits = probes.min(MAX_AUDITS);
+    (0..audits).map(|a| a * (probes / audits)).collect()
+}
+
+/// `(checked, agreed)` of a replay's per-probe parity over the audit
+/// subsample — the figures the shard and remote rows report.
+fn audited(agrees: &[bool]) -> (usize, usize) {
+    let at = audit_indices(agrees.len());
+    (at.len(), at.iter().filter(|&&p| agrees[p]).count())
+}
+
+/// `(shortlist recall, rank-1 rate)` of `results` over their probes.
+fn accuracy(probes: &[Probe], results: &[SearchResult]) -> (f64, f64) {
+    let ranks: Vec<Option<usize>> = probes
+        .iter()
+        .zip(results)
+        .map(|(p, r)| r.genuine_rank(p.subject as u32))
+        .collect();
+    let n = probes.len() as f64;
+    (
+        ranks.iter().filter(|r| r.is_some()).count() as f64 / n,
+        ranks.iter().filter(|r| **r == Some(1)).count() as f64 / n,
+    )
+}
+
+/// Runs the cross-process rung: spawns `config.remote_shards`
+/// `serve-shard` children of the running binary, enrolls the top gallery
+/// rung through an `fp-serve` [`Coordinator`](fp_serve::Coordinator), and
+/// audits full candidate-list parity against both the unsharded top rung
+/// and an in-process [`ShardedIndex`] with the same shard count.
 ///
-/// Children are killed on every exit path ([`fp_serve::proc::ShardChild`]
-/// kills on drop); errors are returned as strings so a failed rung shows up
-/// loudly in the report (and fails `check-serve`) without aborting the
-/// in-process ladder results.
+/// Errors are returned as strings so a failed rung shows up loudly in the
+/// report (and fails `check-serve`) without aborting the in-process ladder
+/// results.
 fn remote_rung(
     config: &StudyConfig,
     telemetry: &Telemetry,
-    pool: &[Template],
-    unsharded: &CandidateIndex<PairTableMatcher>,
-    seeds: &SeedTree,
-    gallery: usize,
+    cohort: &Cohort,
+    probes: &[Probe],
+    baseline: &Baseline,
 ) -> Result<RemoteRow, String> {
-    use std::time::{Duration, Instant};
-
     let s = config.remote_shards;
+    let gallery = cohort.pool.len();
     let _span = telemetry.span_with(
         &format!("scaling.remote{s}"),
         &[("gallery", gallery.to_string()), ("shards", s.to_string())],
     );
-    let exe = match std::env::var_os("FP_SERVE_SHARD_EXE") {
-        Some(path) => std::path::PathBuf::from(path),
-        None => std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?,
-    };
-    let mut children = Vec::with_capacity(s);
-    for _ in 0..s {
-        children.push(
-            spawn_shard(&exe, &["serve-shard"])
-                .map_err(|e| format!("spawn {exe:?} serve-shard: {e}"))?,
-        );
-    }
-    let addrs: Vec<std::net::SocketAddr> = children.iter().map(|c| c.addr).collect();
-
     let index_config = IndexConfig::scaled(gallery);
-    let mut remote = Coordinator::connect(
-        &addrs,
-        index_config,
-        Duration::from_secs(60),
-        RetryPolicy::default(),
-    )
-    .map_err(|e| e.to_string())?
-    .with_telemetry(telemetry)
-    .with_run_seed(config.seed);
-
+    let mut topology = Topology::plain(s, index_config, config.seed, telemetry)?;
     let build_start = Instant::now();
-    remote
-        .enroll_all(&pool[..gallery])
+    topology
+        .coordinator
+        .enroll_all(&cohort.pool)
         .map_err(|e| e.to_string())?;
     let build_seconds = build_start.elapsed().as_secs_f64();
 
     // The in-process sharded reference at the same shard count: the audit
     // pins remote == in-process sharded == unsharded, full lists.
     let mut sharded = ShardedIndex::with_config(PairTableMatcher::default(), index_config, s);
-    sharded.enroll_all(&pool[..gallery]);
+    sharded.enroll_all(&cohort.pool);
 
-    let probes = gallery.min(MAX_PROBES);
-    let stride = gallery / probes;
-    let probe_of = |p: usize| -> (usize, Template) {
-        let subject = p * stride;
-        let profile = if p.is_multiple_of(2) {
-            SAME_DEVICE
-        } else {
-            CROSS_DEVICE
-        };
-        (
-            subject,
-            recapture(&pool[subject], seeds, (gallery + subject) as u64, profile),
-        )
-    };
-
-    let search_start = Instant::now();
-    let mut in_shortlist = 0usize;
-    for p in 0..probes {
-        let (subject, probe) = probe_of(p);
-        let result = remote.search(&probe).map_err(|e| e.to_string())?;
-        if result.genuine_rank(subject as u32).is_some() {
-            in_shortlist += 1;
-        }
-    }
-    let search_seconds = search_start.elapsed().as_secs_f64();
-    // Snapshot before the parity audits, then scrape every shard's served
-    // chain: a shard whose recorded chain disagrees with what the
-    // coordinator decoded fails the whole rung loudly.
-    let runfp = remote.run_fingerprint().hex();
-    remote
-        .verify_fingerprints()
-        .map_err(|e| format!("fingerprint verification: {e}"))?;
-
-    let audits = probes.min(MAX_AUDITS);
-    let audit_stride = probes / audits;
-    let mut parity_agreed = 0usize;
-    let mut parity_sharded_agreed = 0usize;
-    for a in 0..audits {
-        let (_, probe) = probe_of(a * audit_stride);
-        let remote_result = remote.search(&probe).map_err(|e| e.to_string())?;
-        if remote_result.candidates() == unsharded.search(&probe).candidates() {
-            parity_agreed += 1;
-        }
-        if remote_result.candidates() == sharded.search(&probe).candidates() {
-            parity_sharded_agreed += 1;
-        }
-    }
-
-    // Clean wire-level shutdown, then reap; ShardChild kills stragglers.
-    let _ = remote.shutdown_all();
-    for child in &mut children {
-        child.wait_exit(Duration::from_secs(5));
-    }
-
+    let run = replay(&topology.coordinator, probes, baseline, 1)?;
+    topology.shutdown();
+    let (parity_checked, parity_agreed) = audited(&run.agrees);
+    let parity_sharded_agreed = audit_indices(probes.len())
+        .into_iter()
+        .filter(|&p| {
+            sharded.search(&probes[p].template).candidates() == run.results[p].candidates()
+        })
+        .count();
     Ok(RemoteRow {
         shards: s,
-        probes,
-        recall: in_shortlist as f64 / probes as f64,
+        probes: probes.len(),
+        recall: accuracy(probes, &run.results).0,
         build_seconds,
-        searches_per_second: probes as f64 / search_seconds.max(1e-9),
-        parity_checked: audits,
+        searches_per_second: probes.len() as f64 / run.seconds.max(1e-9),
+        parity_checked,
         parity_agreed,
         parity_sharded_agreed,
-        runfp,
+        runfp: run.runfp,
     })
 }
 

@@ -27,6 +27,7 @@ pub mod table3;
 pub mod table4;
 pub mod table5;
 pub mod table6;
+mod topology;
 
 /// Identifiers of all experiments in presentation order.
 pub const ALL_IDS: [&str; 16] = [

@@ -328,3 +328,120 @@ fn ext_scaling_remote_rung_passes_check_serve_gate() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A fresh per-test scratch directory under the system temp dir.
+fn scratch_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fp-study-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
+/// Runs the study binary and asserts it exits 0.
+fn study_ok(args: &[&str]) -> String {
+    let out = Command::new(study_exe())
+        .args(args)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "study {args:?} failed\nstdout: {}\nstderr: {}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The `values` of the single report in a `--json` results file, after
+/// asserting the gate recorded no error.
+fn gate_values(path: &Path) -> serde_json::Value {
+    let raw = std::fs::read_to_string(path).expect("json written");
+    let parsed: serde_json::Value = serde_json::from_str(&raw).expect("valid json");
+    let values = parsed["reports"][0]["values"].clone();
+    assert!(values["error"].is_null(), "gate error: {}", values["error"]);
+    values
+}
+
+#[test]
+fn load_harness_passes_check_load_over_real_children() {
+    let dir = scratch_dir("load");
+    let json = dir.join("load.json");
+    let json = json.to_str().expect("utf-8 path");
+    study_ok(&["load", "--subjects", "16", "--json", json]);
+    let values = gate_values(Path::new(json));
+    assert_eq!(values["parity_agreed"], values["parity_checked"]);
+    assert!(values["parity_checked"].as_u64().unwrap() > 0);
+    assert_eq!(values["runfp_remote"], values["runfp_baseline"]);
+    assert!(study_ok(&["check-load", json]).contains("load smoke ok"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn dist_trace_gate_passes_over_real_children() {
+    let dir = scratch_dir("dist-trace");
+    let (json, trace, slowlog) = (
+        dir.join("dist.json"),
+        dir.join("trace.json"),
+        dir.join("slowlog.jsonl"),
+    );
+    study_ok(&[
+        "check-dist-trace",
+        "--subjects",
+        "8",
+        "--remote-shards",
+        "2",
+        "--trace",
+        trace.to_str().expect("utf-8 path"),
+        "--slowlog",
+        slowlog.to_str().expect("utf-8 path"),
+        "--json",
+        json.to_str().expect("utf-8 path"),
+    ]);
+    let values = gate_values(&json);
+    let checks = values["checks"].as_array().expect("checks array");
+    assert!(!checks.is_empty());
+    assert!(checks.iter().all(|c| c["ok"] == true), "{values}");
+    assert!(std::fs::metadata(&trace).expect("trace written").len() > 0);
+    assert!(std::fs::metadata(&slowlog).expect("slowlog written").len() > 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn kernel_gate_passes_over_real_children() {
+    let dir = scratch_dir("kernel");
+    let json = dir.join("kernel.json");
+    study_ok(&[
+        "check-kernel",
+        "--subjects",
+        "6",
+        "--remote-shards",
+        "2",
+        "--json",
+        json.to_str().expect("utf-8 path"),
+    ]);
+    let values = gate_values(&json);
+    assert_eq!(values["runfp"], values["runfp_sharded"]);
+    assert_eq!(values["runfp"], values["runfp_remote"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn store_gate_passes_over_a_real_child() {
+    let dir = scratch_dir("store");
+    let json = dir.join("store.json");
+    study_ok(&[
+        "check-store",
+        "--subjects",
+        "6",
+        "--remote-shards",
+        "1",
+        "--gallery-dir",
+        dir.join("gallery").to_str().expect("utf-8 path"),
+        "--json",
+        json.to_str().expect("utf-8 path"),
+    ]);
+    let values = gate_values(&json);
+    assert_eq!(values["remote_checked"], true);
+    assert_eq!(values["compact"]["segments_after"], 1);
+    std::fs::remove_dir_all(&dir).ok();
+}

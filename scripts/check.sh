@@ -19,6 +19,13 @@ run cargo build --release --offline
 run cargo test -q --release --offline --workspace
 # Benches must at least compile; the budgeted telemetry subset runs below.
 run cargo bench --offline --no-run
+# Acceptance run: the full study at smoke scale with the flight recorder
+# on; the telemetry gate (`study check-telemetry`) asserts the run
+# recorded real comparison/index work, cell spans, and stage timings.
+run cargo run -q --release --offline -p fp-study --bin study -- all --subjects 12 \
+    --json out.json --metrics metrics.json \
+    --trace trace.json --events events.jsonl
+run cargo run -q --release --offline -p fp-study --bin study -- check-telemetry out.json
 # 1:N scaling smoke: a 200-subject ladder (200/1000/2000 galleries) plus a
 # sharded ladder (1/2/4 shards over the 2000 gallery) must finish inside a
 # 10-minute wall-clock budget, keep shortlist recall at spec on every rung,
