@@ -42,7 +42,9 @@ pub mod pairtable;
 pub use calibrate::ScoreCalibration;
 pub use hough::{HoughConfig, HoughMatcher};
 pub use mcc::{MccConfig, MccMatcher, PreparedCylinders};
-pub use pairtable::{PairFeature, PairTableConfig, PairTableMatcher, PreparedPairTable};
+pub use pairtable::{
+    PairFeature, PairTableConfig, PairTableMatcher, PreparedPairTable, RawPartsError,
+};
 
 use fp_core::template::Template;
 use fp_core::MatchScore;

@@ -25,6 +25,10 @@ pub struct PairTableMetrics {
     /// `match.pairtable.cluster_size` — associations surviving the
     /// rotation-consistency window (the largest rotation cluster).
     pub(crate) cluster_size: ValueHistogram,
+    /// `match.pairtable.window_visits` — probe entries visited inside
+    /// distance windows per comparison (the pass-1 work that the
+    /// associations are found in).
+    pub(crate) window_visits: ValueHistogram,
 }
 
 impl PairTableMetrics {
@@ -35,6 +39,7 @@ impl PairTableMetrics {
             table_entries: telemetry.value("match.pairtable.table_entries"),
             associations: telemetry.value("match.pairtable.associations"),
             cluster_size: telemetry.value("match.pairtable.cluster_size"),
+            window_visits: telemetry.value("match.pairtable.window_visits"),
         }
     }
 }

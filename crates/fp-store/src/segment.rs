@@ -38,9 +38,10 @@
 //! demand.
 //!
 //! Decoding validates semantics, not just framing: pair distances must be
-//! finite and sorted, directions canonical, minutia references in range,
-//! bucket ids dense, bucket keys strictly ascending — each the exact
-//! precondition some downstream kernel relies on without re-checking.
+//! finite and pair entries strictly ascending in `(distance, i, j)`,
+//! directions canonical, minutia references in range, bucket ids dense,
+//! bucket keys strictly ascending — each the exact precondition some
+//! downstream kernel relies on without re-checking.
 
 use fp_core::minutia::MinutiaKind;
 use fp_index::IndexConfig;
@@ -674,7 +675,8 @@ pub(crate) fn decode_segment(bytes: &[u8]) -> Result<DecodedSegment, StoreError>
 }
 
 /// Validates a segment image end to end — framing, every checksum, and
-/// all semantic invariants (sorted pair distances, canonical directions,
+/// all semantic invariants (strictly `(distance, i, j)`-sorted pair
+/// entries, canonical directions,
 /// in-range minutia references and bucket ids, ascending bucket keys) —
 /// without assembling an index. Returns the entry count. This is the
 /// public fsck surface the corruption test-suite drives: **no** byte

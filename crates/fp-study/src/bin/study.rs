@@ -234,6 +234,8 @@ fn print_metrics_help() {
     println!("    synth.minutiae_per_master         master template sizes");
     println!("    sensor.minutiae_per_impression    captured template sizes");
     println!("    match.pairtable.table_entries/associations/cluster_size");
+    println!("    match.pairtable.window_visits     probe entries visited inside");
+    println!("                                      distance windows per comparison");
     println!("    match.hough.vote_cells/peak_votes");
     println!("    match.mcc.valid_cylinders");
     println!("    index.search.hamming_ops_per_search    stage-1 work per probe");

@@ -5,13 +5,15 @@
 //! The pinned constants were produced by this same code; they exist to make
 //! *any* behavioral drift in the pipeline (synthesis, capture, matching,
 //! calibration, indexing) fail loudly. If a deliberate change moves them,
-//! re-pin and say so in the commit.
+//! re-pin and say so in the commit. The score-matrix fingerprint is the
+//! exact pin: one hash over every score's bits. The 1e-9 mean pins stay as
+//! readable diagnostics of *how far* a drift moved the numbers.
 
 use fp_core::ids::DeviceId;
 use fp_study::config::StudyConfig;
 use fp_study::experiments;
 use fp_study::scores::StudyData;
-use fp_telemetry::Telemetry;
+use fp_telemetry::{FingerprintChain, Telemetry};
 
 /// The golden scale: small enough to run in seconds, big enough that every
 /// statistic has real input.
@@ -49,6 +51,37 @@ fn genuine_score_means_are_pinned() {
     // The paper's core finding at any scale: cross-device genuine scores
     // sit below same-device ones.
     assert!(ddmg < dmg);
+}
+
+/// Every score of the golden-config matrix, folded as raw `f64` bits into
+/// one chain: for each `(gallery, probe)` cell in device order, a genuine
+/// then an impostor section of `(index, score bits)` words. Any change to
+/// any score bit, to a cell's length or to its order moves the hex.
+#[test]
+fn score_matrix_fingerprint_is_pinned() {
+    let data = golden_data();
+    let mut chain = FingerprintChain::new(golden_config().seed);
+    for gallery in DeviceId::ALL {
+        for probe in DeviceId::ALL {
+            chain.fold_u64(u64::from(gallery.0));
+            chain.fold_u64(u64::from(probe.0));
+            let genuine = data.scores.genuine_cell(gallery, probe);
+            chain.fold_u64(genuine.len() as u64);
+            for (index, score) in genuine.iter().enumerate() {
+                chain.fold_u64(index as u64);
+                chain.fold_f64(score.score);
+            }
+            let impostor = data.scores.impostor_cell(gallery, probe);
+            chain.fold_u64(impostor.len() as u64);
+            for (index, &score) in impostor.iter().enumerate() {
+                chain.fold_u64(index as u64);
+                chain.fold_f64(score);
+            }
+        }
+    }
+    let hex = format!("{:016x}", chain.value());
+    println!("score-matrix fingerprint: {hex}");
+    assert_eq!(hex, GOLDEN_SCORE_MATRIX_FP, "score matrix drifted");
 }
 
 #[test]
@@ -121,4 +154,5 @@ fn identification_report_is_deterministic_and_telemetry_neutral() {
 const GOLDEN_DMG_MEAN: f64 = 30.10882426039874;
 const GOLDEN_DDMG_MEAN: f64 = 24.88104145864004;
 const GOLDEN_FNMR_D1_D4: f64 = 0.125;
+const GOLDEN_SCORE_MATRIX_FP: &str = "85825a628b685f4f";
 const GOLDEN_RANK1: [f64; 5] = [1.0, 0.9375, 1.0, 1.0, 1.0];

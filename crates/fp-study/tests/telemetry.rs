@@ -76,6 +76,14 @@ fn study_records_all_instrument_families() {
     assert!(snap.values["synth.minutiae_per_master"].count > 0);
     assert!(snap.values["sensor.minutiae_per_impression"].count > 0);
     assert!(snap.values["match.pairtable.table_entries"].count > 0);
+    // Pass-1 work: one window-visit record per comparison that reached
+    // pass 1, next to its association count, and every association was
+    // found on a visit (one visit can yield a direct and a swapped one).
+    let visits = &snap.values["match.pairtable.window_visits"];
+    let associations = &snap.values["match.pairtable.associations"];
+    assert_eq!(visits.count, associations.count);
+    assert!(visits.count > 0 && visits.sum > 0);
+    assert!(associations.sum <= 2 * visits.sum);
 
     // Stage records exist and their per-thread item counts add up.
     let stage = |name: &str| {

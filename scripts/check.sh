@@ -111,6 +111,15 @@ run cargo run -q --release --offline -p fp-bench --bin bench-diff -- \
     BENCH_baseline.json target/BENCH_current.json --fail-pct 50 --warn-pct 10 \
     --require counter/ --require value_histogram/ --require span/ \
     --require fingerprint/ --require study/
+# Pair-table matcher perf gate: prepare plus the prepared genuine and
+# impostor comparisons, the call that is nearly all of the paper's score
+# generation and the stage-2 re-rank of every 1:N search.
+run cargo bench -q --offline -p fp-bench --bench matchers -- \
+    pair_table/prepare pair_table/genuine_prepared pair_table/impostor_prepared \
+    --save "$ROOT/target/BENCH_matchers_current.json"
+run cargo run -q --release --offline -p fp-bench --bin bench-diff -- \
+    BENCH_baseline.json target/BENCH_matchers_current.json --fail-pct 50 --warn-pct 10 \
+    --require pair_table/
 # Shard-search perf gate: the budgeted 2000-entry group only (the 10k group
 # lives in the committed baseline for local runs; missing benches outside
 # the required slice are reported as removed, never failed).
