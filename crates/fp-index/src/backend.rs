@@ -1,22 +1,15 @@
 //! The cross-process score seam: [`ShardBackend`].
 //!
-//! `ShardedIndex` proved (shard.rs module docs) that the one seam along
-//! which a two-stage 1:N search can be split without changing a single
-//! byte of the result is **per-entry stage-1 channel scores** plus
-//! **per-entry exact stage-2 scores** — both pure functions of (probe,
-//! entry), bit-identical whatever gallery the entry shares. This module
-//! names that seam as a trait so the fusion/merge driver can be written
-//! once and run over *any* shard transport:
+//! A two-stage 1:N search splits without changing a byte of its result
+//! along **per-entry stage-1 channel scores** and **per-entry exact
+//! stage-2 scores**: both are pure functions of (probe, entry). This
+//! module names that seam as a trait, so one search sequence
+//! ([`crate::shard::search_shards`], whose docs give the argument) runs
+//! over any shard transport:
 //!
 //! * [`CandidateIndex`] implements it directly — the in-process shard;
 //! * `fp-serve`'s `RemoteShard` implements it over a length-prefixed
 //!   binary wire protocol — the cross-process shard.
-//!
-//! Everything above the seam (stitching shard score arrays into global
-//! ones, the single global best-rank fusion, dealing the selected ids back
-//! to their owning shards, and the final total-order merge) lives in
-//! [`crate::shard`] as pure functions shared by `ShardedIndex`, the
-//! reference driver [`search_backends`], and the remote coordinator.
 //!
 //! In-process backends cannot fail, so their impl is infallible in
 //! practice; remote backends surface [`ShardError`] — a search over a dead
@@ -152,48 +145,24 @@ impl<M: PreparableMatcher> ShardBackend for CandidateIndex<M> {
     }
 }
 
-/// The reference driver: a full two-stage search over any set of shard
-/// backends, byte-identical to [`CandidateIndex::search_with_budget`] on
-/// the round-robin-concatenated gallery.
-///
-/// This is the exact sequence `ShardedIndex` and the remote coordinator
-/// run — stage 1 on every shard, one global fusion, per-shard exact
-/// re-rank, total-order merge — without their telemetry and threading
-/// machinery, so tests can pin transport-independent correctness and new
-/// transports have a model to diff against. Shards are visited
-/// sequentially; parallel fan-out is the callers' concern.
+/// A full two-stage search over any set of shard backends, byte-identical
+/// to [`CandidateIndex::search_with_budget`] on the round-robin-concatenated
+/// gallery: [`crate::shard::search_shards`] with both stages visiting the
+/// shards in order on the calling thread. Tests pin transport-independent
+/// correctness with it, and new transports have a model to diff against.
 pub fn search_backends<B: ShardBackend>(
     backends: &[B],
     probe: &Template,
     shortlist: usize,
 ) -> Result<crate::SearchResult, ShardError> {
-    use crate::shard::{
-        globalize_and_sort, merge_sorted_parts, select_per_shard, stitch_stage_one,
-    };
-
-    let s = backends.len();
-    assert!(s >= 1, "need at least one shard backend");
-    let total: usize = backends.iter().map(|b| b.shard_len()).sum();
-
-    let mut per_shard = Vec::with_capacity(s);
-    for backend in backends {
-        per_shard.push(backend.stage_one(probe)?);
-    }
-    let (vote_scores, cyl_scores) = stitch_stage_one(&per_shard, total);
-    let selected_local = select_per_shard(&vote_scores, &cyl_scores, shortlist, s);
-
-    let mut parts = Vec::with_capacity(s);
-    for (k, backend) in backends.iter().enumerate() {
-        let mut part = if selected_local[k].is_empty() {
-            Vec::new()
-        } else {
-            backend.stage_two(probe, &selected_local[k])?
-        };
-        globalize_and_sort(&mut part, k, s);
-        parts.push(part);
-    }
-    Ok(crate::SearchResult::from_parts(
-        merge_sorted_parts(&parts),
-        total,
-    ))
+    assert!(!backends.is_empty(), "need at least one shard backend");
+    let stage1 = backends
+        .iter()
+        .map(|backend| backend.stage_one(probe))
+        .collect::<Result<Vec<_>, _>>()?;
+    crate::shard::search_shards(&stage1, shortlist, |jobs| {
+        jobs.iter()
+            .map(|&(k, selected)| backends[k].stage_two(probe, selected))
+            .collect()
+    })
 }

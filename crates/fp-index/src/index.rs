@@ -1,5 +1,6 @@
 //! The two-stage candidate index.
 
+use std::convert::Infallible;
 use std::time::Instant;
 
 use fp_core::template::Template;
@@ -13,6 +14,7 @@ use crate::arena::CodeArena;
 use crate::config::{IndexConfig, IndexConfigError};
 use crate::geohash::BucketIndex;
 use crate::metrics::IndexMetrics;
+use crate::shard::search_shards;
 use crate::signature::{CylinderCodes, Stage1Scratch};
 
 /// One enrolled gallery template. The entry's binarized cylinder codes do
@@ -169,10 +171,9 @@ impl Fingerprinted for SearchResult {
 
 /// The probe-side features of one search, computed once per probe: the
 /// prepared pair table (for geometric-hash voting) and the binarized
-/// cylinder codes. A [`crate::ShardedIndex`] computes this once and shares
-/// it read-only across every shard's stage-1 pass — the features depend
-/// only on the probe and the (shard-invariant) extraction config, so every
-/// shard sees bit-identical probe features.
+/// cylinder codes. They depend only on the probe and the (shard-invariant)
+/// extraction config, so a [`crate::ShardedIndex`] computes them once and
+/// shares them read-only across every shard's stage-1 pass.
 pub(crate) struct ProbeFeatures {
     table: <PairTableMatcher as PreparableMatcher>::Prepared,
     pairs: u32,
@@ -183,12 +184,9 @@ pub(crate) struct ProbeFeatures {
 /// the pass performed. Both score vectors are *pure per-entry functions* of
 /// (probe, entry): an entry's vote score counts only its own registered
 /// pair features against the probe, and its code score compares only its
-/// own cylinders — neither depends on which other entries share the
-/// gallery. This is the property that makes sharded search exact: scores
-/// computed shard-locally are bit-identical to the unsharded ones —
-/// whether the shard lives in this process ([`crate::ShardedIndex`]) or
-/// answers over `fp-serve`'s wire protocol, which is why this struct is
-/// public: it *is* the cross-process score seam.
+/// own cylinders. That is what makes every shard count exact (see
+/// [`crate::shard::search_shards`]), and why this struct is public: it
+/// *is* the cross-process score seam.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageOneScores {
     /// Min-support-normalized geometric-hash votes per entry.
@@ -686,42 +684,25 @@ impl<M: PreparableMatcher> CandidateIndex<M> {
     }
 
     /// Searches with an explicit shortlist budget; `shortlist >= len()`
-    /// degenerates to an exact brute-force ranking.
+    /// degenerates to an exact brute-force ranking. The one-shard case of
+    /// [`crate::shard::search_shards`], with both stages inline.
     pub fn search_with_budget(&self, probe: &Template, shortlist: usize) -> SearchResult {
         let start = Instant::now();
-        let n = self.entries.len();
         let _span = self
             .metrics
             .telemetry
-            .trace_span("index.search", &[("gallery", n.to_string())]);
-        self.metrics.searches.incr();
-
-        let probe_features = self.probe_features(probe);
-        let stage1 = self.stage1(&probe_features);
-        self.metrics.bucket_hits.add(stage1.bucket_hits);
+            .trace_span("index.search", &[("gallery", self.len().to_string())]);
+        let stage1 = self.stage1(&self.probe_features(probe));
+        let Ok(result) = search_shards(std::slice::from_ref(&stage1), shortlist, |jobs| {
+            let probe_prepared = self.prepare_probe(probe);
+            let parts = jobs
+                .iter()
+                .map(|&(_, ids)| self.rerank(ids, &probe_prepared));
+            Ok::<_, Infallible>(parts.collect())
+        });
+        let (reranked, n) = (result.candidates.len(), result.gallery_len);
         self.metrics
-            .bucket_hits_per_search
-            .record(stage1.bucket_hits);
-        self.metrics.hamming_ops.add(stage1.hamming_word_ops);
-        self.metrics
-            .hamming_per_search
-            .record(stage1.hamming_word_ops);
-
-        let selected = fuse_select(&stage1.vote_scores, &stage1.cyl_scores, shortlist);
-        let probe_prepared = self.matcher.prepare(probe);
-        let mut candidates = self.rerank(&selected, &probe_prepared);
-        candidates.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));
-
-        self.metrics.rerank_comparisons.add(candidates.len() as u64);
-        self.metrics
-            .candidates_pruned
-            .add((n - candidates.len()) as u64);
-        self.metrics.shortlist.record(candidates.len() as u64);
-        self.metrics.search_time.record(start.elapsed());
-        let result = SearchResult {
-            candidates,
-            gallery_len: n,
-        };
+            .record_search([&stage1], reranked, n, start.elapsed());
         self.runfp.record_item(&result);
         result
     }

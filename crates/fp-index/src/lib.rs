@@ -36,15 +36,14 @@
 //! default budget on seeded data; `study ext-scaling` reports it per run.
 //!
 //! For large galleries, [`ShardedIndex`] splits the gallery round-robin
-//! across S thread-parallel shards and merges per-shard results
-//! deterministically — byte-identical to the unsharded index at the same
-//! total budget (per-entry stage-1 scores are shard-invariant; fusion runs
-//! once, globally — see `shard.rs` for the argument), with both stages
-//! fanning out across shard threads. The seam itself is named by the
-//! [`ShardBackend`] trait (`backend.rs`): anything that can answer stage-1
-//! scores and stage-2 exact scores for its slice of the gallery — an
-//! in-process [`CandidateIndex`] or `fp-serve`'s remote shard connection —
-//! plugs into the same fusion/merge code and produces the same bytes.
+//! across S thread-parallel shards, byte-identical to the unsharded index
+//! at the same total budget. Every search, sharded or not, runs one
+//! sequence, [`shard::search_shards`], whose docs give the argument. The
+//! seam itself is named by the [`ShardBackend`] trait (`backend.rs`):
+//! anything that can answer stage-1 scores and stage-2 exact scores for
+//! its slice of the gallery — an in-process [`CandidateIndex`] or
+//! `fp-serve`'s remote shard connection — runs under the same sequence and
+//! produces the same bytes.
 //!
 //! ```
 //! use fp_index::{CandidateIndex, IndexConfig};

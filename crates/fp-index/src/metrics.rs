@@ -12,7 +12,11 @@
 //! per-shard work is attributable while the roll-up stays comparable with
 //! an unsharded [`crate::CandidateIndex`] serving the same gallery.
 
+use std::time::Duration;
+
 use fp_telemetry::{Counter, DurationHistogram, Telemetry, ValueHistogram};
+
+use crate::index::StageOneScores;
 
 /// Instruments for [`crate::CandidateIndex`].
 #[derive(Debug, Clone, Default)]
@@ -84,5 +88,29 @@ impl IndexMetrics {
             search_time: telemetry.duration(&format!("{prefix}.search.seconds")),
             telemetry: telemetry.clone(),
         }
+    }
+    /// Meters one served search: the stage-1 work of the `stage1` passes
+    /// it ran, the `reranked` entries it scored exactly out of a
+    /// `gallery`-entry (sub)gallery, and its wall time. The one record
+    /// path for unsharded searches, the sharded roll-up and every shard.
+    pub(crate) fn record_search<'a>(
+        &self,
+        stage1: impl IntoIterator<Item = &'a StageOneScores>,
+        reranked: usize,
+        gallery: usize,
+        elapsed: Duration,
+    ) {
+        let (bucket_hits, hamming_word_ops) = stage1.into_iter().fold((0, 0), |(b, h), s| {
+            (b + s.bucket_hits, h + s.hamming_word_ops)
+        });
+        self.searches.incr();
+        self.bucket_hits.add(bucket_hits);
+        self.bucket_hits_per_search.record(bucket_hits);
+        self.hamming_ops.add(hamming_word_ops);
+        self.hamming_per_search.record(hamming_word_ops);
+        self.rerank_comparisons.add(reranked as u64);
+        self.candidates_pruned.add((gallery - reranked) as u64);
+        self.shortlist.record(reranked as u64);
+        self.search_time.record(elapsed);
     }
 }

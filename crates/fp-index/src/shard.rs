@@ -8,33 +8,16 @@
 //! `g / S`, so `global_id = local_id * S + shard` recovers exactly the
 //! dense enrollment-order id the unsharded index would have assigned.
 //!
-//! # Why this is *provably* identical, not just approximately
+//! # The search sequence
 //!
-//! Naively running the whole two-stage search per shard and merging the
-//! per-shard shortlists is **not** equivalent to the unsharded index: the
-//! stage-1 channels are fused by *rank*, and ranks computed inside a shard
-//! (against only that shard's entries) differ from global ranks — an entry
-//! whose global channel ranks are (5, 100) beats one at (6, 7) globally but
-//! can lose to it inside a small shard. Rank fusion is not monotone under
-//! entry removal, so per-shard fusion can select a different shortlist and
-//! the merged result can miss candidates the unsharded index would return.
-//!
-//! The sharded search therefore splits along the one seam that *is*
-//! shard-invariant: **per-entry channel scores**. An entry's vote score
-//! (its own bucket votes over min pair support) and its cylinder-code score
-//! are pure functions of (probe, entry) — bit-identical whether the entry
-//! shares a gallery with 10 or 10 million others. Each shard computes its
-//! entries' scores in parallel (stage 1), the scores are stitched into
-//! global arrays via the id mapping, and **one** global rank fusion selects
-//! the shortlist — the exact same `fuse_select` the unsharded index runs on
-//! the exact same score arrays. The selected ids are handed back to their
-//! owning shards for exact stage-2 re-ranking in parallel (per-entry exact
-//! scores are trivially shard-invariant too), each shard sorts its part by
-//! `(score desc, global id asc)`, and the per-shard lists are merged by the
-//! same comparator. Since global ids are unique the comparator is a strict
-//! total order, so the S-way merge of sorted parts equals sorting the
-//! concatenation — byte-identical to the unsharded [`SearchResult`].
+//! Every 1:N search in the workspace, sharded or not, in process or
+//! across processes, runs one function: [`search_shards`]. Its docs give
+//! the sequence and the argument for why it returns the unsharded bytes
+//! for any shard count. The four pure helpers it calls
+//! ([`stitch_stage_one`], [`select_per_shard`], [`globalize_and_sort`],
+//! [`merge_sorted_parts`]) stay public for tools that time each step.
 
+use std::convert::Infallible;
 use std::time::{Duration, Instant};
 
 use fp_core::template::Template;
@@ -72,16 +55,11 @@ impl<M: fp_match::PreparableMatcher + Clone> ShardedIndex<M> {
 
     /// Creates an empty sharded index with an explicit config.
     pub fn with_config(matcher: M, config: IndexConfig, shard_count: usize) -> ShardedIndex<M> {
-        assert!(shard_count >= 1, "need at least one shard");
-        ShardedIndex {
-            shards: (0..shard_count)
+        ShardedIndex::from_shards(
+            (0..shard_count)
                 .map(|_| CandidateIndex::with_config(matcher.clone(), config))
                 .collect(),
-            rollup: IndexMetrics::default(),
-            config,
-            enrolled: 0,
-            runfp: RunFingerprint::new(config.fingerprint_base(0)),
-        }
+        )
     }
 }
 
@@ -258,142 +236,97 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
     /// Searches with an explicit **total** shortlist budget (the budget is
     /// global, applied at the single global fusion — not per shard).
     /// Returns a result byte-identical to
-    /// [`CandidateIndex::search_with_budget`] on the same gallery.
+    /// [`CandidateIndex::search_with_budget`] on the same gallery: both run
+    /// [`search_shards`], here with one scoped thread per shard for each
+    /// stage and the probe's features computed once for all shards.
     pub fn search_with_budget(&self, probe: &Template, shortlist: usize) -> SearchResult
     where
         M: Sync,
     {
         let start = Instant::now();
-        let n = self.enrolled;
         let s = self.shards.len();
-        let telemetry = &self.rollup.telemetry;
-        let _span = telemetry.trace_span(
+        let _span = self.rollup.telemetry.trace_span(
             "index.search",
-            &[("gallery", n.to_string()), ("shards", s.to_string())],
+            &[
+                ("gallery", self.enrolled.to_string()),
+                ("shards", s.to_string()),
+            ],
         );
-        self.rollup.searches.incr();
 
         // Probe-side features are pure functions of (probe, config); every
         // shard shares one read-only copy computed on shard 0's extractors.
         let probe_features = self.shards[0].probe_features(probe);
-        let probe_prepared = self.shards[0].prepare_probe(probe);
-
-        // Stage 1, one thread per shard: shard-local per-entry channel
-        // scores (shard-invariant — see the module docs).
+        let every_shard: Vec<(usize, ())> = (0..s).map(|k| (k, ())).collect();
         let (stage1, stage1_times): (Vec<StageOneScores>, Vec<Duration>) = self
-            .per_shard("index.shard.search", |shard| {
+            .fan_out("index.shard.search", &every_shard, |shard, ()| {
                 let t0 = Instant::now();
-                let scores = shard.stage1(&probe_features);
-                (scores, t0.elapsed())
+                (shard.stage1(&probe_features), t0.elapsed())
             })
             .into_iter()
             .unzip();
 
-        // Stitch the shard score arrays into global arrays and run ONE
-        // global fusion — the same `fuse_select` over the same scores the
-        // unsharded index would see.
-        let mut bucket_hits = 0u64;
-        let mut hamming_word_ops = 0u64;
-        for scores in &stage1 {
-            bucket_hits += scores.bucket_hits;
-            hamming_word_ops += scores.hamming_word_ops;
-        }
-        self.rollup.bucket_hits.add(bucket_hits);
-        self.rollup.bucket_hits_per_search.record(bucket_hits);
-        self.rollup.hamming_ops.add(hamming_word_ops);
-        self.rollup.hamming_per_search.record(hamming_word_ops);
-
-        let (vote_scores, cyl_scores) = stitch_stage_one(&stage1, n);
-        let selected_local = select_per_shard(&vote_scores, &cyl_scores, shortlist, s);
-
-        // Stage 2, one thread per shard: exact scores for the selected
-        // entries, mapped back to global ids and sorted by the final
-        // comparator within each shard.
-        let parts: Vec<(Vec<Candidate>, Duration)> = {
-            let selected_local = &selected_local;
-            self.per_shard_indexed("index.shard.rerank", |k, shard| {
+        // (exact comparisons, re-rank wall time) per shard; shards with an
+        // empty selection keep (0, 0).
+        let mut reranked = vec![(0usize, Duration::ZERO); s];
+        let Ok(result) = search_shards(&stage1, shortlist, |jobs| {
+            let probe_prepared = self.shards[0].prepare_probe(probe);
+            let parts = self.fan_out("index.shard.rerank", jobs, |shard, selected| {
                 let t0 = Instant::now();
-                let mut part = shard.rerank(&selected_local[k], &probe_prepared);
-                // Fold the part chain before globalizing — local ids in
-                // selection order, the same sequence a remote shard folds
-                // when serving the equivalent stage-2 request. Empty
-                // selections fold nothing: remote drivers skip the round
-                // trip entirely, and the chains must match.
-                if !selected_local[k].is_empty() {
-                    shard.fold_part(&part);
-                }
-                globalize_and_sort(&mut part, k, s);
+                let part = shard.rerank(selected, &probe_prepared);
+                // The part chain folds local ids in selection order — the
+                // sequence a remote shard folds serving the same request.
+                shard.fold_part(&part);
                 (part, t0.elapsed())
-            })
-        };
+            });
+            for (&(k, _), (part, time)) in jobs.iter().zip(&parts) {
+                reranked[k] = (part.len(), *time);
+            }
+            Ok::<_, Infallible>(parts.into_iter().map(|(part, _)| part).collect())
+        });
 
-        // Per-shard metering: each shard served one (partial) search.
+        // Every shard served one (partial) search; the roll-up sums them.
         for (k, shard) in self.shards.iter().enumerate() {
-            let metrics = shard.metrics();
-            let scores = &stage1[k];
-            let (part, rerank_time) = &parts[k];
-            metrics.searches.incr();
-            metrics.bucket_hits.add(scores.bucket_hits);
-            metrics.bucket_hits_per_search.record(scores.bucket_hits);
-            metrics.hamming_ops.add(scores.hamming_word_ops);
-            metrics.hamming_per_search.record(scores.hamming_word_ops);
-            metrics.rerank_comparisons.add(part.len() as u64);
-            metrics
-                .candidates_pruned
-                .add((shard.len() - part.len()) as u64);
-            metrics.shortlist.record(part.len() as u64);
-            metrics.search_time.record(stage1_times[k] + *rerank_time);
+            let (part_len, time) = (reranked[k].0, stage1_times[k] + reranked[k].1);
+            shard
+                .metrics()
+                .record_search([&stage1[k]], part_len, shard.len(), time);
         }
-
-        let sorted_parts: Vec<Vec<Candidate>> = parts.into_iter().map(|(p, _)| p).collect();
-        let candidates = merge_sorted_parts(&sorted_parts);
-
-        self.rollup.rerank_comparisons.add(candidates.len() as u64);
+        let (reranked, n) = (result.candidates().len(), result.gallery_len());
         self.rollup
-            .candidates_pruned
-            .add((n - candidates.len()) as u64);
-        self.rollup.shortlist.record(candidates.len() as u64);
-        self.rollup.search_time.record(start.elapsed());
-        let result = SearchResult::from_parts(candidates, n);
+            .record_search(&stage1, reranked, n, start.elapsed());
         self.runfp.record_item(&result);
         result
     }
 
-    /// Runs `f` once per shard, one thread per shard (inline when there is
-    /// only one shard), collecting results in shard order. Worker threads
-    /// adopt the calling span so `name` spans nest under it.
-    fn per_shard<T: Send>(&self, name: &str, f: impl Fn(&CandidateIndex<M>) -> T + Sync) -> Vec<T>
-    where
-        M: Sync,
-    {
-        self.per_shard_indexed(name, |_, shard| f(shard))
-    }
-
-    fn per_shard_indexed<T: Send>(
+    /// Runs `f` once per `(shard, job)` pair, one thread each (inline when
+    /// there is only one), collecting results in job order. Worker threads
+    /// adopt the calling span so the `name` lanes nest under it.
+    fn fan_out<J: Sync, T: Send>(
         &self,
         name: &str,
-        f: impl Fn(usize, &CandidateIndex<M>) -> T + Sync,
+        jobs: &[(usize, J)],
+        f: impl Fn(&CandidateIndex<M>, &J) -> T + Sync,
     ) -> Vec<T>
     where
         M: Sync,
     {
         let telemetry = &self.rollup.telemetry;
-        if self.shards.len() == 1 {
-            let _lane = telemetry.trace_span(name, &[("shard", "0".to_string())]);
-            return vec![f(0, &self.shards[0])];
+        let lane = |(k, job): &(usize, J)| {
+            let _lane = telemetry.trace_span(name, &[("shard", k.to_string())]);
+            f(&self.shards[*k], job)
+        };
+        if let [job] = jobs {
+            return vec![lane(job)];
         }
         let ctx = telemetry.trace_ctx();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
+            let handles: Vec<_> = jobs
                 .iter()
-                .enumerate()
-                .map(|(k, shard)| {
-                    let (ctx, f) = (&ctx, &f);
+                .map(|job| {
+                    let (ctx, lane) = (&ctx, &lane);
                     scope.spawn(move || {
                         let _adopt = telemetry.in_ctx(ctx);
-                        let _lane = telemetry.trace_span(name, &[("shard", k.to_string())]);
-                        f(k, shard)
+                        lane(job)
                     })
                 })
                 .collect();
@@ -405,15 +338,77 @@ impl<M: fp_match::PreparableMatcher> ShardedIndex<M> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The shared seam: pure functions between stage 1 and stage 2.
-//
-// These four helpers are the *entire* shard-count-dependent logic of a
-// sharded search. [`ShardedIndex`] runs them over in-process shards and
-// `fp-serve`'s coordinator runs the very same functions over remote shard
-// connections, which is how cross-process results stay byte-identical to
-// in-process ones: the only code that differs between the two is transport.
-// ---------------------------------------------------------------------------
+/// The 1:N search sequence, written once. Every searcher in the workspace
+/// — [`CandidateIndex`] (one shard), [`ShardedIndex`] (S in-process
+/// shards), [`search_backends`](crate::search_backends) (any
+/// [`ShardBackend`](crate::ShardBackend)s) and `fp-serve`'s `Coordinator`
+/// (S remote shards) — computes stage 1 with its own fan-out and hands the
+/// per-shard scores (`stage1[k]` for shard `k`) to this function:
+///
+/// 1. **Stitch** the per-shard arrays into global ones through the
+///    round-robin id mapping ([`stitch_stage_one`]). One shard needs no
+///    stitching: its arrays are borrowed as they are.
+/// 2. **Select** the shortlist with **one** global best-rank fusion over
+///    `shortlist` entries and deal it back to the owning shards as local
+///    ids ([`select_per_shard`]).
+/// 3. **Re-rank**: `rerank` receives one `(shard, local ids)` job per
+///    shard whose selection is non-empty — an empty selection costs no
+///    call and no round trip — and returns each job's exact part (local
+///    ids, selection order) in job order. This is the caller's second
+///    fan-out: inline, scoped threads, or pipelined RPCs.
+/// 4. **Merge**: each part is mapped to global ids and sorted
+///    ([`globalize_and_sort`]), and the sorted parts are merged
+///    ([`merge_sorted_parts`]) into the [`SearchResult`] over the whole
+///    gallery.
+///
+/// # Why the result is the unsharded one, byte for byte
+///
+/// Running the whole two-stage search per shard and merging shortlists
+/// would **not** be equivalent: the channels are fused by *rank*, and an
+/// entry whose global channel ranks are (5, 100) beats one at (6, 7)
+/// globally but can lose to it inside a small shard. Rank fusion is not
+/// monotone under entry removal. The sequence therefore splits along the
+/// one seam that *is* shard-invariant: **per-entry channel scores**. An
+/// entry's vote score and cylinder-code score are pure functions of
+/// (probe, entry), bit-identical whether the entry shares a gallery with
+/// 10 or 10 million others, so the stitched arrays equal the unsharded
+/// ones and the one fusion selects the unsharded shortlist. Exact stage-2
+/// scores are per-entry too. Global ids are unique, so `(score desc, id
+/// asc)` is a strict total order, and merging the sorted parts equals
+/// sorting the concatenation: the unsharded final sort.
+pub fn search_shards<E>(
+    stage1: &[StageOneScores],
+    shortlist: usize,
+    rerank: impl FnOnce(&[(usize, &[u32])]) -> Result<Vec<Vec<Candidate>>, E>,
+) -> Result<SearchResult, E> {
+    let s = stage1.len();
+    let total = stage1.iter().map(|scores| scores.vote_scores.len()).sum();
+    let stitched;
+    let (vote_scores, cyl_scores) = match stage1 {
+        [only] => (&only.vote_scores[..], &only.cyl_scores[..]),
+        _ => {
+            stitched = stitch_stage_one(stage1, total);
+            (&stitched.0[..], &stitched.1[..])
+        }
+    };
+    let selected = select_per_shard(vote_scores, cyl_scores, shortlist, s);
+    let jobs: Vec<(usize, &[u32])> = selected
+        .iter()
+        .enumerate()
+        .filter(|(_, ids)| !ids.is_empty())
+        .map(|(k, ids)| (k, &ids[..]))
+        .collect();
+    let reranked = rerank(&jobs)?;
+    assert_eq!(reranked.len(), jobs.len(), "one re-ranked part per job");
+    let mut parts = vec![Vec::new(); s];
+    for (&(k, _), mut part) in jobs.iter().zip(reranked) {
+        globalize_and_sort(&mut part, k, s);
+        parts[k] = part;
+    }
+    Ok(SearchResult::from_parts(merge_sorted_parts(&parts), total))
+}
+
+// The steps of `search_shards`: pure functions between stage 1 and stage 2.
 
 /// Stitches per-shard stage-1 score arrays into global score arrays via the
 /// round-robin id mapping `global = local * shards + shard`. `total` is the
@@ -465,34 +460,21 @@ pub fn globalize_and_sort(part: &mut [Candidate], shard: usize, shards: usize) {
     for candidate in part.iter_mut() {
         candidate.id = candidate.id * shards as u32 + shard as u32;
     }
-    part.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.id.cmp(&b.id)));
+    part.sort_unstable_by(final_order);
 }
 
-/// S-way merge of sorted per-shard parts by (score desc, global id asc).
-/// Ids are unique, so the comparator is a strict total order and the merge
-/// equals sorting the concatenation — i.e. the unsharded final sort.
+/// The final order of every candidate list: exact score descending, ties
+/// by id ascending (a strict total order, since ids are unique).
+fn final_order(a: &Candidate, b: &Candidate) -> std::cmp::Ordering {
+    b.score.cmp(&a.score).then(a.id.cmp(&b.id))
+}
+
+/// Merges sorted per-shard parts by (score desc, global id asc). Ids are
+/// unique, so the order is strict and the merge equals sorting the
+/// concatenation, i.e. the unsharded final sort; the stable sort finds the
+/// parts' sorted runs and merges them.
 pub fn merge_sorted_parts(parts: &[Vec<Candidate>]) -> Vec<Candidate> {
-    let total: usize = parts.iter().map(|p| p.len()).sum();
-    let mut candidates = Vec::with_capacity(total);
-    let mut heads = vec![0usize; parts.len()];
-    for _ in 0..total {
-        let mut best: Option<(usize, &Candidate)> = None;
-        for (k, part) in parts.iter().enumerate() {
-            if let Some(c) = part.get(heads[k]) {
-                let better = match best {
-                    None => true,
-                    Some((_, b)) => (c.score, std::cmp::Reverse(c.id))
-                        .cmp(&(b.score, std::cmp::Reverse(b.id)))
-                        .is_gt(),
-                };
-                if better {
-                    best = Some((k, c));
-                }
-            }
-        }
-        let (k, c) = best.expect("total counts every remaining candidate");
-        candidates.push(*c);
-        heads[k] += 1;
-    }
+    let mut candidates = parts.concat();
+    candidates.sort_by(final_order);
     candidates
 }

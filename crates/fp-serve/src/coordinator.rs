@@ -1,19 +1,18 @@
 //! The coordinator: `ShardedIndex` semantics over TCP shards.
 //!
 //! [`Coordinator`] mirrors [`fp_index::ShardedIndex`] exactly — round-robin
-//! enrollment, pipelined stage-1 across shards, **one** global best-rank
-//! fusion, pipelined per-shard exact re-rank, total-order merge — but each
-//! shard is a [`RemoteShard`] connection instead of an in-process
-//! [`fp_index::CandidateIndex`]. The fusion and merge steps call the very
-//! same pure helpers in `fp_index::shard`, so a remote search is
-//! byte-identical to the in-process sharded search, which is itself
-//! byte-identical to the unsharded index (`study check-serve` audits the
-//! whole chain).
+//! enrollment and the one search sequence of
+//! [`fp_index::shard::search_shards`] — but each shard is a [`RemoteShard`]
+//! connection instead of an in-process [`fp_index::CandidateIndex`]. Only
+//! the two fan-outs differ: here they are pipelined RPCs. A remote search
+//! is therefore byte-identical to the in-process sharded search, which is
+//! itself byte-identical to the unsharded index (`study check-serve`
+//! audits the whole chain).
 //!
 //! # Pipelining, not fan-out/join
 //!
 //! Each shard connection is a [`MuxConn`]: requests carry wire-v3 ids, so
-//! the coordinator writes stage-1 requests to **every** shard before
+//! the coordinator writes each stage's requests to **every** shard before
 //! awaiting the first response — the shards compute concurrently without
 //! the coordinator spawning a thread per shard per search. Because the
 //! connections multiplex, `search` takes `&self` and is thread-safe: N
@@ -25,7 +24,8 @@
 //!
 //! Every RPC runs under a per-request deadline and a bounded retry budget
 //! with deterministic exponential backoff (jitter comes from a seeded
-//! splitmix64, so reruns behave identically). A typed `OVERLOADED` frame —
+//! splitmix64, so reruns behave identically). A pipelined send is attempt
+//! 0 of that budget. A typed `OVERLOADED` frame —
 //! the server shedding at its admission watermark — is retryable like a
 //! transport error (backoff gives the queue room to drain); a shard that
 //! stays dead or saturated after the budget surfaces as
@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fp_core::template::Template;
-use fp_index::shard::{globalize_and_sort, merge_sorted_parts, select_per_shard, stitch_stage_one};
+use fp_index::shard::search_shards;
 use fp_index::{IndexConfig, SearchResult, ShardBackend, ShardError, StageOneScores};
 use fp_telemetry::{
     DetachedSpan, FingerprintChain, FingerprintSnapshot, HistogramSnapshot, RunFingerprint,
@@ -49,7 +49,7 @@ use fp_telemetry::{
 use crate::metrics::ServeMetrics;
 use crate::mux::{MuxConn, MuxError, Ticket};
 use crate::slowlog::{ShardBreakdown, SlowLog};
-use crate::wire::{code, Frame, ServerTiming, TraceContext};
+use crate::wire::{code, Frame, TraceContext};
 
 /// Templates per [`Frame::EnrollBatch`]: keeps every frame far below
 /// [`crate::wire::MAX_PAYLOAD`] while amortizing round trips.
@@ -109,7 +109,7 @@ fn splitmix64(mut x: u64) -> u64 {
 
 /// One multiplexed TCP connection to a shard server, with reconnection,
 /// deadlines, bounded retry, and `serve.*` metrics. Implements
-/// [`ShardBackend`], so it plugs into the same fusion/merge driver as an
+/// [`ShardBackend`], so it plugs into the same search sequence as an
 /// in-process shard.
 pub struct RemoteShard {
     shard: usize,
@@ -177,13 +177,6 @@ impl RemoteShard {
         self.conn.peak_in_flight()
     }
 
-    fn unavailable(&self, detail: String) -> ShardError {
-        ShardError::Unavailable {
-            shard: self.shard,
-            detail,
-        }
-    }
-
     fn protocol(&self, detail: String) -> ShardError {
         ShardError::Protocol {
             shard: self.shard,
@@ -193,43 +186,69 @@ impl RemoteShard {
 
     fn map_mux(&self, e: MuxError) -> CallError {
         match e {
-            MuxError::Transport { detail, timeout } => CallError::Transport(detail, timeout),
+            MuxError::Transport { detail, timeout } => {
+                if timeout {
+                    self.metrics.timeouts.incr();
+                }
+                CallError::Retry(detail)
+            }
             MuxError::Protocol { detail } => CallError::Fatal(self.protocol(detail)),
         }
     }
 
     /// One request/response exchange with deadline, reconnection and
-    /// bounded retry. Transport failures — and typed `OVERLOADED` sheds,
-    /// which mean "try again once the queue drains" — are retried with
-    /// backoff; protocol-invalid replies (including other typed
-    /// [`Frame::Error`]s) fail immediately — resending the same bytes
-    /// cannot fix those.
+    /// bounded retry: at most [`RetryPolicy::attempts`] sends, retries
+    /// after backoff. Transport failures — and typed `OVERLOADED` sheds,
+    /// which mean "try again once the queue drains" — are retried;
+    /// protocol-invalid replies (including other typed [`Frame::Error`]s)
+    /// fail immediately — resending the same bytes cannot fix those.
     pub fn call(&self, request: &Frame) -> Result<Frame, ShardError> {
+        let mut seen = ShardBreakdown::default();
+        Ok(self.settle(request, self.begin_rpc(request), &mut seen)?.0)
+    }
+
+    /// Completes an exchange whose attempt 0, `first`, is already on the
+    /// wire (or failed to get there), retrying as [`call`](Self::call)
+    /// does on the same budget: the pipelined send counts as attempt 0,
+    /// and retry `a` sleeps [`RetryPolicy::backoff`]`(shard, a)` first.
+    fn settle(
+        &self,
+        request: &Frame,
+        first: Result<PendingRpc, CallError>,
+        seen: &mut ShardBreakdown,
+    ) -> Result<(Frame, u64), ShardError> {
         let kind = request.kind();
-        let mut last_io = String::new();
-        for attempt in 0..self.retry.attempts {
-            if attempt > 0 {
-                self.metrics.retries.incr();
-                std::thread::sleep(self.retry.backoff(self.shard, attempt));
-            }
-            let outcome = self
-                .begin_rpc(request)
-                .and_then(|pending| self.finish_rpc(pending, kind));
-            match outcome {
-                Ok((response, _observation)) => return Ok(response),
-                Err(CallError::Transport(detail, timed_out)) => {
-                    if timed_out {
-                        self.metrics.timeouts.incr();
-                    }
-                    last_io = detail;
+        let mut outcome = first.and_then(|pending| self.finish_rpc(pending, kind, seen));
+        let (mut sent, mut retry_start) = (1, None);
+        loop {
+            let detail = match outcome {
+                // A retried exchange's round trip runs from the first
+                // failure to the success, backoff included.
+                Ok((response, rtt)) => {
+                    let rtt = retry_start.map_or(rtt, |start: Instant| nanos(start.elapsed()));
+                    return Ok((response, rtt));
                 }
                 Err(CallError::Fatal(e)) => return Err(e),
+                Err(CallError::Retry(detail)) => detail,
+                Err(CallError::Shed(detail)) => {
+                    seen.shed = true;
+                    detail
+                }
+            };
+            if sent >= self.retry.attempts {
+                let detail = format!("{sent} attempts exhausted; last error: {detail}");
+                let shard = self.shard;
+                return Err(ShardError::Unavailable { shard, detail });
             }
+            retry_start.get_or_insert_with(Instant::now);
+            seen.retried = true;
+            self.metrics.retries.incr();
+            std::thread::sleep(self.retry.backoff(self.shard, sent));
+            outcome = self
+                .begin_rpc(request)
+                .and_then(|pending| self.finish_rpc(pending, kind, seen));
+            sent += 1;
         }
-        Err(self.unavailable(format!(
-            "{} attempts exhausted; last error: {last_io}",
-            self.retry.attempts
-        )))
     }
 
     /// Puts `request` on the wire without waiting for the response — the
@@ -289,33 +308,34 @@ impl RemoteShard {
     /// typed error frames: `OVERLOADED` is retryable (the `serve.shed`
     /// counter records each shed observed), everything else is fatal.
     /// Closes the rpc span opened at begin (failed exchanges record it
-    /// too) and returns what the exchange observed — round-trip time,
-    /// bytes, and any [`ServerTiming`] the shard echoed — as slow-log raw
-    /// material.
+    /// too), adds what the exchange observed — bytes, and any
+    /// [`ServerTiming`](crate::wire::ServerTiming) the shard echoed — to
+    /// `seen` as slow-log raw material, and returns the response with its
+    /// round-trip time (ns).
     pub(crate) fn finish_rpc(
         &self,
         pending: PendingRpc,
         kind: &'static str,
-    ) -> Result<(Frame, RpcObservation), CallError> {
+        seen: &mut ShardBreakdown,
+    ) -> Result<(Frame, u64), CallError> {
         let PendingRpc {
             ticket,
             start,
             tx_bytes,
             span,
         } = pending;
+        seen.bytes_tx += tx_bytes;
         // On a transport/protocol error `span` drops right here, recording
         // the failed attempt with its true duration.
         let (response, rx) = self.conn.finish(ticket).map_err(|e| self.map_mux(e))?;
         let elapsed = start.elapsed();
+        seen.bytes_rx += rx as u64;
         self.metrics.bytes_rx.add(rx as u64);
         self.metrics.record_rpc(kind, elapsed);
         if let Frame::Error { code: c, detail } = response {
             if c == code::OVERLOADED {
                 self.metrics.shed.incr();
-                return Err(CallError::Transport(
-                    format!("shed by shard: {detail}"),
-                    false,
-                ));
+                return Err(CallError::Shed(format!("shed by shard: {detail}")));
             }
             let name = match c {
                 code::CONFIG_MISMATCH => "config mismatch",
@@ -329,6 +349,10 @@ impl RemoteShard {
             Frame::StageOneOk { timing, .. } | Frame::RerankOk { timing, .. } => *timing,
             _ => None,
         };
+        if let Some(t) = timing {
+            seen.queue_wait_ns += t.queue_wait_ns;
+            seen.work_ns += t.work_ns;
+        }
         if let Some(mut span) = span {
             if let Some(t) = timing {
                 span.add_attr("server_queue_wait_ns", t.queue_wait_ns.to_string());
@@ -336,13 +360,7 @@ impl RemoteShard {
             }
             span.finish();
         }
-        let observation = RpcObservation {
-            elapsed_ns: elapsed.as_nanos().min(u64::MAX as u128) as u64,
-            bytes_tx: tx_bytes,
-            bytes_rx: rx as u64,
-            timing,
-        };
-        Ok((response, observation))
+        Ok((response, nanos(elapsed)))
     }
 
     /// Checks a stage-1 response's shape against the cached shard length.
@@ -402,10 +420,16 @@ impl RemoteShard {
     /// Enrolls `templates` on this shard in chunked batches, carrying
     /// `config` so the server can reject a tuning mismatch.
     pub fn enroll(&self, config: &IndexConfig, templates: &[Template]) -> Result<(), ShardError> {
-        for chunk in templates.chunks(ENROLL_CHUNK.max(1)) {
+        self.enroll_refs(config, &templates.iter().collect::<Vec<_>>())
+    }
+
+    /// [`enroll`](Self::enroll) over template references: each frame
+    /// clones its own chunk, and nothing else is copied.
+    fn enroll_refs(&self, config: &IndexConfig, templates: &[&Template]) -> Result<(), ShardError> {
+        for chunk in templates.chunks(ENROLL_CHUNK) {
             let request = Frame::EnrollBatch {
                 config: *config,
-                templates: chunk.to_vec(),
+                templates: chunk.iter().map(|&template| template.clone()).collect(),
                 trace: None,
             };
             match self.call(&request)? {
@@ -552,16 +576,6 @@ pub struct RemoteTrace {
     pub dropped_spans: u64,
 }
 
-/// What one completed RPC observed — the per-shard raw material of a
-/// slow-log exemplar.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RpcObservation {
-    pub(crate) elapsed_ns: u64,
-    pub(crate) bytes_tx: u64,
-    pub(crate) bytes_rx: u64,
-    pub(crate) timing: Option<ServerTiming>,
-}
-
 /// An RPC whose request is on the wire but whose response has not been
 /// awaited yet.
 pub(crate) struct PendingRpc {
@@ -575,9 +589,10 @@ pub(crate) struct PendingRpc {
 }
 
 pub(crate) enum CallError {
-    /// Retryable failure (detail, was-a-timeout): transport trouble or a
-    /// typed `OVERLOADED` shed.
-    Transport(String, bool),
+    /// Retryable transport trouble.
+    Retry(String),
+    /// Retryable typed `OVERLOADED` shed.
+    Shed(String),
     /// Non-retryable: protocol violation or any other typed error frame.
     Fatal(ShardError),
 }
@@ -609,9 +624,9 @@ impl ShardBackend for RemoteShard {
     }
 }
 
-/// Nanoseconds elapsed since `start`, saturating.
-fn elapsed_ns(start: Instant) -> u64 {
-    start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+/// A duration in nanoseconds, saturating.
+fn nanos(elapsed: Duration) -> u64 {
+    elapsed.as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// A cross-process sharded 1:N index: the drop-in remote counterpart of
@@ -765,14 +780,14 @@ impl Coordinator {
                 ("transport", "tcp".to_string()),
             ],
         );
-        let mut per_shard: Vec<Vec<Template>> = vec![Vec::new(); s];
+        let mut per_shard: Vec<Vec<&Template>> = vec![Vec::new(); s];
         for (offset, template) in templates.iter().enumerate() {
-            per_shard[(self.enrolled + offset) % s].push(template.clone());
+            per_shard[(self.enrolled + offset) % s].push(template);
         }
         let config = &self.config;
         let ctx = self.telemetry.trace_ctx();
         let telemetry = &self.telemetry;
-        let results: Vec<Result<(), ShardError>> = std::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .shards
                 .iter()
@@ -781,18 +796,14 @@ impl Coordinator {
                     let ctx = &ctx;
                     scope.spawn(move || {
                         let _adopt = telemetry.in_ctx(ctx);
-                        shard.enroll(config, batch)
+                        shard.enroll_refs(config, batch)
                     })
                 })
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("enroll worker panicked"))
-                .collect()
-        });
-        for result in results {
-            result?;
-        }
+                .try_for_each(|h| h.join().expect("enroll worker panicked"))
+        })?;
         self.enrolled += templates.len();
         Ok(())
     }
@@ -802,24 +813,21 @@ impl Coordinator {
         self.search_with_budget(probe, self.config.shortlist)
     }
 
-    /// Searches with an explicit **total** shortlist budget. Structurally
-    /// the same sequence as [`fp_index::ShardedIndex::search_with_budget`]:
-    /// stage-1 on every shard, one global fusion (local), stage-2 on every
-    /// shard, total-order merge — only the transport differs, and the
-    /// per-shard RPCs are pipelined (all requests written before any
-    /// response is awaited) rather than fanned out on threads.
+    /// Searches with an explicit **total** shortlist budget:
+    /// [`search_shards`] with each stage's RPCs pipelined across the
+    /// shards — the sequence
+    /// [`fp_index::ShardedIndex::search_with_budget`] runs on threads.
     pub fn search_with_budget(
         &self,
         probe: &Template,
         shortlist: usize,
     ) -> Result<SearchResult, ShardError> {
         let s = self.shards.len();
-        let n = self.enrolled;
         let search_start = Instant::now();
         let _span = self.telemetry.trace_span(
             "index.search",
             &[
-                ("gallery", n.to_string()),
+                ("gallery", self.enrolled.to_string()),
                 ("shards", s.to_string()),
                 ("transport", "tcp".to_string()),
             ],
@@ -827,116 +835,80 @@ impl Coordinator {
         // Per-shard observations of this one search — becomes a slow-log
         // exemplar iff the search ends up over the threshold.
         let mut breakdown: Vec<ShardBreakdown> = (0..s)
-            .map(|k| ShardBreakdown {
-                shard: k,
+            .map(|shard| ShardBreakdown {
+                shard,
                 ..ShardBreakdown::default()
             })
             .collect();
-        let absorb = |b: &mut ShardBreakdown, o: &RpcObservation| {
-            b.bytes_tx += o.bytes_tx;
-            b.bytes_rx += o.bytes_rx;
-            if let Some(t) = o.timing {
-                b.queue_wait_ns += t.queue_wait_ns;
-                b.work_ns += t.work_ns;
-            }
-        };
+        let stage1_requests = (0..s).map(|k| {
+            let probe = probe.clone();
+            (k, Frame::StageOne { probe, trace: None })
+        });
+        let stage1 = self.exchange(
+            stage1_requests.collect(),
+            &mut breakdown,
+            |b| &mut b.stage1_ns,
+            |_, shard, response| shard.validate_stage_one(response),
+        )?;
+        let result = search_shards(&stage1, shortlist, |jobs| {
+            let requests = jobs.iter().map(|&(k, selected)| {
+                let (probe, selected) = (probe.clone(), selected.to_vec());
+                (
+                    k,
+                    Frame::Rerank {
+                        probe,
+                        selected,
+                        trace: None,
+                    },
+                )
+            });
+            self.exchange(
+                requests.collect(),
+                &mut breakdown,
+                |b| &mut b.rerank_ns,
+                |job, shard, response| shard.validate_stage_two(jobs[job].1, response),
+            )
+        })?;
 
-        // Stage 1, pipelined: every shard has the request on the wire
-        // before the first response is awaited, so shards compute
-        // concurrently. A shard whose pipelined exchange hits a retryable
-        // failure falls back to the full retrying `call` path.
-        let pending: Vec<Result<PendingRpc, CallError>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                shard.begin_rpc(&Frame::StageOne {
-                    probe: probe.clone(),
-                    trace: None,
-                })
-            })
-            .collect();
-        let mut stage1 = Vec::with_capacity(s);
-        for (shard, begun) in self.shards.iter().zip(pending) {
-            let k = shard.shard_index();
-            let scores = match begun.and_then(|p| shard.finish_rpc(p, "stage1")) {
-                Ok((response, observation)) => {
-                    breakdown[k].stage1_ns = observation.elapsed_ns;
-                    absorb(&mut breakdown[k], &observation);
-                    shard.validate_stage_one(response)?
-                }
-                Err(CallError::Fatal(e)) => return Err(e),
-                Err(CallError::Transport(detail, _)) => {
-                    breakdown[k].retried = true;
-                    breakdown[k].shed |= detail.starts_with("shed by shard");
-                    let retry_start = Instant::now();
-                    let scores = shard.stage_one(probe)?;
-                    breakdown[k].stage1_ns = elapsed_ns(retry_start);
-                    scores
-                }
-            };
-            stage1.push(scores);
-        }
-
-        // ONE global fusion over the stitched score arrays — same helpers,
-        // same bytes as the in-process sharded index.
-        let (vote_scores, cyl_scores) = stitch_stage_one(&stage1, n);
-        let selected_local = select_per_shard(&vote_scores, &cyl_scores, shortlist, s);
-
-        // Stage 2, pipelined the same way: exact re-rank of each shard's
-        // slice. Empty slices skip the round trip entirely.
-        let pending: Vec<Option<Result<PendingRpc, CallError>>> = self
-            .shards
-            .iter()
-            .map(|shard| {
-                let k = shard.shard_index();
-                if selected_local[k].is_empty() {
-                    return None;
-                }
-                Some(shard.begin_rpc(&Frame::Rerank {
-                    probe: probe.clone(),
-                    selected: selected_local[k].clone(),
-                    trace: None,
-                }))
-            })
-            .collect();
-        let mut parts = Vec::with_capacity(s);
-        for (shard, begun) in self.shards.iter().zip(pending) {
-            let k = shard.shard_index();
-            let mut part = match begun {
-                None => Vec::new(),
-                Some(begun) => match begun.and_then(|p| shard.finish_rpc(p, "rerank")) {
-                    Ok((response, observation)) => {
-                        breakdown[k].rerank_ns = observation.elapsed_ns;
-                        absorb(&mut breakdown[k], &observation);
-                        shard.validate_stage_two(&selected_local[k], response)?
-                    }
-                    Err(CallError::Fatal(e)) => return Err(e),
-                    Err(CallError::Transport(detail, _)) => {
-                        breakdown[k].retried = true;
-                        breakdown[k].shed |= detail.starts_with("shed by shard");
-                        let retry_start = Instant::now();
-                        let part = shard.stage_two(probe, &selected_local[k])?;
-                        breakdown[k].rerank_ns = elapsed_ns(retry_start);
-                        part
-                    }
-                },
-            };
-            globalize_and_sort(&mut part, k, s);
-            parts.push(part);
-        }
-
-        let result = SearchResult::from_parts(merge_sorted_parts(&parts), n);
         self.runfp.record_item(&result);
         let done = self.searches.fetch_add(1, Ordering::Relaxed) + 1;
         // Offer the slow log before any periodic fingerprint round trips
         // so those RPCs never pollute the end-to-end latency.
         if let Some(slowlog) = &self.slowlog {
-            slowlog.observe(done, elapsed_ns(search_start), breakdown);
+            slowlog.observe(done, nanos(search_start.elapsed()), breakdown);
         }
         if self.fingerprint_every > 0 && done.is_multiple_of(self.fingerprint_every) {
             self.verify_fingerprints()?;
         }
         Ok(result)
+    }
+
+    /// One pipelined stage: every `(shard, request)` is on the wire before
+    /// the first response is awaited, so the shards compute concurrently,
+    /// and each pipelined send is attempt 0 of its shard's retry budget
+    /// ([`RemoteShard::settle`]). Each shard's round trip lands in `slot`
+    /// of its breakdown, with its bytes, server timing and retry marks.
+    /// Returns `accept(request index, shard, response)` per request, in
+    /// order.
+    fn exchange<T>(
+        &self,
+        requests: Vec<(usize, Frame)>,
+        breakdown: &mut [ShardBreakdown],
+        slot: fn(&mut ShardBreakdown) -> &mut u64,
+        accept: impl Fn(usize, &RemoteShard, Frame) -> Result<T, ShardError>,
+    ) -> Result<Vec<T>, ShardError> {
+        let begun: Vec<_> = requests
+            .iter()
+            .map(|(k, request)| self.shards[*k].begin_rpc(request))
+            .collect();
+        let mut accepted = Vec::with_capacity(requests.len());
+        for (job, ((k, request), begun)) in requests.iter().zip(begun).enumerate() {
+            let shard = &self.shards[*k];
+            let (response, rtt) = shard.settle(request, begun, &mut breakdown[*k])?;
+            *slot(&mut breakdown[*k]) = rtt;
+            accepted.push(accept(job, shard, response)?);
+        }
+        Ok(accepted)
     }
 
     /// The canonical run fingerprint over every search served so far —

@@ -27,15 +27,14 @@
 //!   queued into the dark.
 //! * [`coordinator`] — [`Coordinator`]: holds one multiplexed connection
 //!   per shard, implements the same [`fp_index::ShardBackend`] seam as an
-//!   in-process shard, pipelines stage-1 across shards (every request on
-//!   the wire before the first response is awaited), runs the single
-//!   global best-rank fusion locally, pipelines per-shard re-rank slices,
-//!   and S-way merges under the same strict `(score desc, id asc)` order
-//!   as [`fp_index::ShardedIndex`]. Per-request deadlines, bounded
-//!   deterministic retry with exponential backoff, and typed
-//!   [`fp_index::ShardError`]s: a dead shard fails the search loudly —
-//!   truncated results are never returned. `&self` searches are
-//!   thread-safe, so N client threads can drive one coordinator at once.
+//!   in-process shard, and runs the one 1:N search sequence,
+//!   [`fp_index::shard::search_shards`], with each stage's RPCs pipelined
+//!   across the shards (every request on the wire before the first
+//!   response is awaited). Per-request deadlines, bounded deterministic
+//!   retry with exponential backoff, and typed [`fp_index::ShardError`]s:
+//!   a dead shard fails the search loudly — truncated results are never
+//!   returned. `&self` searches are thread-safe, so N client threads can
+//!   drive one coordinator at once.
 //!
 //! [`proc`] rounds it out with child-process plumbing (`spawn_shard` /
 //! [`proc::ShardChild`]) used by `study ext-scaling --remote-shards N`.
@@ -46,9 +45,9 @@
 //! features are recomputed shard-side from the probe template, and both
 //! sides run the same code on the same bits. The only cross-shard
 //! computation — best-rank fusion over the stitched global score arrays and
-//! the final merge — happens exactly once, on the coordinator, using the
-//! very same `fp_index::shard` helpers the in-process [`ShardedIndex`]
-//! uses. Equality of results is therefore structural, not a numerical
+//! the final merge — happens exactly once, on the coordinator, in the same
+//! `fp_index::shard::search_shards` the in-process [`ShardedIndex`] runs.
+//! Equality of results is therefore structural, not a numerical
 //! accident; `study check-serve` audits it end-to-end anyway.
 //!
 //! [`ShardedIndex`]: fp_index::ShardedIndex

@@ -47,7 +47,7 @@ pub struct ShardBreakdown {
     pub bytes_tx: u64,
     /// Wire bytes read from this shard for this search.
     pub bytes_rx: u64,
-    /// Whether any RPC fell back to the retrying path.
+    /// Whether any RPC was retried after a failed attempt.
     pub retried: bool,
     /// Whether any attempt was shed by the shard's admission control.
     pub shed: bool,

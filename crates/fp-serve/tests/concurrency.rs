@@ -7,6 +7,9 @@
 //! * **Overload** — a saturated worker pool sheds with typed `OVERLOADED`
 //!   frames, never silently, and the admission counters account for every
 //!   request exactly: offered = accepted + overloaded.
+//! * **Retry budget** — a pipelined send that is shed is attempt 0 of the
+//!   coordinator's retry budget, and a search that recovers from a shed
+//!   says so in its slow-log exemplar.
 //! * **Duplicate ids** — a request id already in flight on a connection is
 //!   rejected with a typed error; the connection survives.
 //! * **Churn** — short-lived connections do not accumulate dead reader
@@ -14,7 +17,8 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fp_core::geometry::{Direction, Point, RigidMotion, Vector};
@@ -22,9 +26,10 @@ use fp_core::minutia::{Minutia, MinutiaKind};
 use fp_core::rng::SeedTree;
 use fp_core::template::Template;
 use fp_index::IndexConfig;
+use fp_index::{CandidateIndex, ShardError};
 use fp_match::PairTableMatcher;
 use fp_serve::wire::{code, read_frame_with, write_frame_with, Frame};
-use fp_serve::{Coordinator, MuxConn, RetryPolicy, ShardServer};
+use fp_serve::{Coordinator, MuxConn, RetryPolicy, ShardServer, SlowLog, Ticket};
 use fp_telemetry::Telemetry;
 use rand::Rng;
 
@@ -290,6 +295,179 @@ fn overload_sheds_typed_frames_with_exact_accounting() {
     drop(conn);
     handle.stop();
     handle.join();
+}
+
+/// Reads one counter from a telemetry snapshot (0 when never registered).
+fn counter(telemetry: &Telemetry, name: &str) -> u64 {
+    telemetry
+        .snapshot()
+        .counters
+        .get(name)
+        .copied()
+        .unwrap_or(0)
+}
+
+/// Saturates a `with_pool(1, 1)` shard whose worker `delay_stage()` pins:
+/// stage-1 fillers go out on `conn` one at a time until the shard has
+/// accepted two of them (one running, one holding the single queue slot)
+/// and shed the latest. Until the running filler's delay ends, the next
+/// request is shed too. Returns the fillers' tickets.
+fn saturate(conn: &MuxConn, server: &Telemetry) -> Vec<Ticket> {
+    let probe = synthetic_template(77, 12);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let accepted_before = counter(server, "serve.accepted");
+    let mut tickets = Vec::new();
+    loop {
+        let (offered, shed) = (
+            counter(server, "serve.offered"),
+            counter(server, "serve.overloaded"),
+        );
+        let filler = Frame::StageOne {
+            probe: probe.clone(),
+            trace: None,
+        };
+        tickets.push(conn.begin(&filler).expect("begin filler").0);
+        // Wait until the shard has admitted or shed this filler.
+        while counter(server, "serve.offered") == offered
+            || counter(server, "serve.offered")
+                != counter(server, "serve.accepted") + counter(server, "serve.overloaded")
+        {
+            assert!(Instant::now() < deadline, "shard never took the filler");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let accepted = counter(server, "serve.accepted") - accepted_before;
+        if accepted >= 2 && counter(server, "serve.overloaded") > shed {
+            return tickets;
+        }
+    }
+}
+
+/// A 1-shard topology over a `with_pool(1, 1)` server, for shed tests.
+struct ShedTopology {
+    handle: fp_serve::server::ServerHandle,
+    addr: SocketAddr,
+    /// The server's telemetry (admission ledger).
+    server: Telemetry,
+    /// The server's stage delay, in milliseconds.
+    delay: Arc<AtomicU64>,
+    /// The coordinator's telemetry (`serve.*` client counters).
+    client: Telemetry,
+    coordinator: Coordinator,
+}
+
+impl ShedTopology {
+    fn new(retry: RetryPolicy, gallery: &[Template]) -> ShedTopology {
+        let server = Telemetry::enabled();
+        let shard = ShardServer::bind(PairTableMatcher::default(), "127.0.0.1:0")
+            .unwrap()
+            .with_telemetry(&server)
+            .with_pool(1, 1);
+        let addr = shard.local_addr().unwrap();
+        let delay = shard.delay_stage();
+        let handle = shard.spawn();
+        let client = Telemetry::enabled();
+        let config = IndexConfig::default();
+        let mut coordinator = Coordinator::connect(&[addr], config, Duration::from_secs(10), retry)
+            .unwrap()
+            .with_telemetry(&client);
+        coordinator.enroll_all(gallery).unwrap();
+        ShedTopology {
+            handle,
+            addr,
+            server,
+            delay,
+            client,
+            coordinator,
+        }
+    }
+
+    /// Answers the fillers and stops the server.
+    fn finish(self, side: MuxConn, fillers: Vec<Ticket>) {
+        self.delay.store(0, Ordering::Relaxed);
+        for ticket in fillers {
+            let _ = side.finish(ticket);
+        }
+        self.handle.stop();
+        self.handle.join();
+    }
+}
+
+/// The pipelined send is attempt 0 of the retry budget: with one attempt
+/// allowed, a search whose stage-1 request is shed fails after exactly
+/// one send — no immediate un-counted resend.
+#[test]
+fn shed_pipelined_send_spends_the_whole_one_attempt_budget() {
+    let retry = RetryPolicy {
+        attempts: 1,
+        ..fast_retry()
+    };
+    let subjects = gallery(41, 6);
+    let topo = ShedTopology::new(retry, &subjects);
+    topo.delay.store(500, Ordering::Relaxed);
+    let side = MuxConn::new(topo.addr, Duration::from_secs(10));
+    let fillers = saturate(&side, &topo.server);
+
+    let overloaded = counter(&topo.server, "serve.overloaded");
+    let requests = counter(&topo.client, "serve.requests");
+    let probe = second_capture(&subjects[2], 4_141);
+    match topo.coordinator.search(&probe) {
+        Err(ShardError::Unavailable { shard, detail }) => {
+            assert_eq!(shard, 0);
+            assert!(detail.contains("1 attempts exhausted"), "detail: {detail}");
+        }
+        Err(other) => panic!("expected Unavailable, got {other}"),
+        Ok(_) => panic!("a saturated shard must not serve the search"),
+    }
+    assert_eq!(counter(&topo.server, "serve.overloaded") - overloaded, 1);
+    assert_eq!(counter(&topo.client, "serve.requests") - requests, 1);
+    assert_eq!(counter(&topo.client, "serve.retries"), 0);
+    assert_eq!(counter(&topo.client, "serve.shed"), 1);
+    topo.finish(side, fillers);
+}
+
+/// A search whose pipelined stage-1 is shed, then served on a backed-off
+/// retry, returns the in-process candidate list, and its slow-log
+/// exemplar marks the shard as retried and shed.
+#[test]
+fn shed_then_retried_search_matches_in_process_and_marks_the_exemplar() {
+    let retry = RetryPolicy {
+        attempts: 3,
+        base: Duration::from_millis(400),
+        cap: Duration::from_secs(1),
+        seed: 7,
+    };
+    let subjects = gallery(43, 12);
+    let mut topo = ShedTopology::new(retry, &subjects);
+    let slowlog = Arc::new(SlowLog::with_threshold_ns(&topo.client, 0));
+    topo.coordinator = topo.coordinator.with_slowlog(Arc::clone(&slowlog));
+    let mut local = CandidateIndex::new(PairTableMatcher::default());
+    local.enroll_all(&subjects);
+
+    // The fillers drain within two delays; the first backoff is longer.
+    topo.delay.store(100, Ordering::Relaxed);
+    let side = MuxConn::new(topo.addr, Duration::from_secs(10));
+    let fillers = saturate(&side, &topo.server);
+    let probe = second_capture(&subjects[5], 4_343);
+    let result = topo
+        .coordinator
+        .search(&probe)
+        .expect("the retry is served");
+    assert_same_result(&result, &local.search(&probe), 0);
+    // One backoff is enough for the queue to drain, so exactly one resend.
+    assert_eq!(counter(&topo.client, "serve.retries"), 1);
+    assert_eq!(counter(&topo.client, "serve.shed"), 1);
+
+    let entries = slowlog.entries();
+    assert_eq!(entries.len(), 1, "threshold 0 keeps every search");
+    let shard = &entries[0].shards[0];
+    assert!(shard.retried && shard.shed, "exemplar: {shard:?}");
+    // A retried round trip runs from the shed to the success, backoff
+    // included.
+    assert!(
+        shard.stage1_ns >= retry.base.as_nanos() as u64,
+        "exemplar: {shard:?}"
+    );
+    topo.finish(side, fillers);
 }
 
 /// A second request under an id still in flight on the same connection is

@@ -17,6 +17,12 @@ run cargo build --release --offline
 # Workspace tests include the fp-index exactness/recall property suite and
 # the fp-study golden-regression + determinism suite.
 run cargo test -q --release --offline --workspace
+# perfbench, the repository benchmark's driver, is a workspace of its own
+# that calls the 1:N seam (`search_backends`, `ShardBackend`, the
+# `fp_index::shard` helpers, `Coordinator`/`RemoteShard`). Its self-test
+# builds it against the current API, so an API drift fails here before it
+# breaks the benchmark.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 # Benches must at least compile; the budgeted telemetry subset runs below.
 run cargo bench --offline --no-run
 # Acceptance run: the full study at smoke scale with the flight recorder
